@@ -37,7 +37,7 @@ lint:
 # ambient-environment test runs its recovery check under it for real.
 chaos: serve-chaos
 	python -m pytest tests/reliability -q
-	RED_FAILPOINTS="pool.worker:io_error@0.1;store.put_many:io_error@0.3;store.get_many:corrupt@0.3" \
+	RED_FAILPOINTS="store.put_many:io_error@0.3;store.get_many:corrupt@0.3" \
 	RED_FAILPOINT_SEED=7 \
 	python -m pytest tests/reliability -q
 

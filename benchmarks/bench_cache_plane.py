@@ -1,33 +1,21 @@
 """ISSUE-5 acceptance benchmark: the batched cache plane.
 
-PR 4 made the *cold* vectorized analytic plane fast enough
-(``BENCH_sweep.json``) that the warm path — serving already-computed
-results — became the bottleneck: the legacy per-pickle path paid one
-SHA-256 repr-walk, one ``open``/``read`` pair, one ``pickle.loads``
-and one ``dataclasses.replace`` *per job*.  This module gates the
-rebuilt tier on the same ~10k-job stride-sweep grid
-(``bench_sweep_vectorized.build_grid``):
+The cold vectorized analytic plane (``BENCH_sweep.json``) is fast
+enough that the warm path — serving already-computed results — has to
+earn its place.  This module gates the store tier on the same ~10k-job
+stride-sweep grid (``bench_sweep_vectorized.build_grid``):
 
-1. **Cold vectorized** (`run_design_jobs`, no cache): the PR-4
-   baseline the warm path must beat.
-2. **Legacy per-pickle warm**: the faithful pre-ISSUE-5 hot loop —
-   per-job :func:`~repro.eval.parallel.job_key`, per-job
-   ``read_bytes`` + ``pickle.loads`` on a
-   :class:`~repro.eval.parallel.SweepCache` directory, unconditional
-   relabel — inlined here because the live ``SweepCache`` has since
-   learned the batched protocol.
-3. **Packed warm** (`run_design_jobs` over a warm
+1. **Cold vectorized** (`run_design_jobs`, no cache): the baseline the
+   warm path must beat.
+2. **Packed warm** (`run_design_jobs` over a warm
    :class:`~repro.eval.store.PackedSweepStore`): batched
    :func:`~repro.eval.parallel.job_keys` + one ``get_many`` against
    the in-memory LRU hit tier.  Also measured with the tier disabled
    (``memory_entries=0``) to report the mmap/offset-index disk tier on
    its own.
-4. **Migrated**: the packed store opened over the legacy
-   directory-of-pickles, served through the same batched path.
 
-Gates: packed warm must be **>= 3x** the cold vectorized jobs/s and
-**>= 10x** the legacy per-pickle warm path, with cold/warm/migrated
-results *byte-identical* (per-element pickle bytes).  Measurements
+Gate: packed warm must be **>= 3x** the cold vectorized jobs/s, with
+cold/warm/disk results *byte-identical* (per-element pickle bytes).  Measurements
 land in ``BENCH_cache.json`` (path override: ``RED_BENCH_CACHE_JSON``),
 uploaded as a CI artifact.  ``RED_BENCH_QUICK=1`` selects the smoke
 configuration (smaller grid, lower floors).
@@ -43,14 +31,13 @@ import time
 
 from benchmarks.bench_sweep_vectorized import build_grid
 from benchmarks.conftest import emit
-from repro.eval.parallel import SweepCache, job_key, run_design_jobs
+from repro.eval.parallel import run_design_jobs
 from repro.eval.store import PackedSweepStore
 from repro.utils.formatting import render_ascii_table
 
 QUICK = os.environ.get("RED_BENCH_QUICK") == "1"
 
 COLD_FLOOR = 1.2 if QUICK else 3.0
-LEGACY_FLOOR = 3.0 if QUICK else 10.0
 REPEATS = 3
 
 JSON_PATH = os.environ.get("RED_BENCH_CACHE_JSON", "BENCH_cache.json")
@@ -65,24 +52,6 @@ def _median_time(fn, repeats: int = REPEATS) -> float:
     return statistics.median(samples)
 
 
-def _legacy_warm_sweep(jobs, cache: SweepCache):
-    """The pre-ISSUE-5 warm hot loop, verbatim.
-
-    One scalar ``job_key`` (SHA-256 over the full repr-walk), one
-    ``read_bytes``, one ``pickle.loads`` and one unconditional
-    ``dataclasses.replace`` relabel *per job* — exactly what
-    ``run_design_jobs`` used to do per cache hit.
-    """
-    from dataclasses import replace
-
-    results = []
-    for job in jobs:
-        key = job_key(job)
-        value = pickle.loads(cache.path_for(job, key=key).read_bytes())
-        results.append(replace(value, layer=job.layer_name))
-    return results
-
-
 def _digest(results) -> list[bytes]:
     """Per-element pickles (list-level pickling memoizes shared objects)."""
     return [pickle.dumps(m, protocol=pickle.HIGHEST_PROTOCOL) for m in results]
@@ -91,17 +60,11 @@ def _digest(results) -> list[bytes]:
 def test_cache_plane_speedup(tmp_path):
     jobs = build_grid()
 
-    # --- route 1: cold vectorized (the PR-4 plane, no cache) ----------
+    # --- route 1: cold vectorized (no cache) ---------------------------
     cold_results = run_design_jobs(jobs)
     t_cold = _median_time(lambda: run_design_jobs(jobs))
 
-    # --- route 2: legacy per-pickle warm ------------------------------
-    legacy = SweepCache(tmp_path / "legacy")
-    run_design_jobs(jobs, cache=legacy)  # populate the directory-of-pickles
-    legacy_results = _legacy_warm_sweep(jobs, legacy)
-    t_legacy = _median_time(lambda: _legacy_warm_sweep(jobs, legacy))
-
-    # --- route 3: packed warm (memory tier + disk tier) ---------------
+    # --- route 2: packed warm (memory tier + disk tier) ---------------
     store = PackedSweepStore(tmp_path / "packed")
     run_design_jobs(jobs, cache=store)  # populate segments + LRU tier
     warm_results = run_design_jobs(jobs, cache=store)
@@ -109,42 +72,26 @@ def test_cache_plane_speedup(tmp_path):
     t_warm = _median_time(lambda: run_design_jobs(jobs, cache=store))
 
     disk_store = PackedSweepStore(tmp_path / "packed", memory_entries=0)
+    disk_results = run_design_jobs(jobs, cache=disk_store)
+    assert disk_store.misses == 0
     t_disk = _median_time(lambda: run_design_jobs(jobs, cache=disk_store))
-
-    # --- route 4: migrated legacy directory through the packed store --
-    migration_start = time.perf_counter()
-    migrated_store = PackedSweepStore(tmp_path / "legacy")
-    t_migration = time.perf_counter() - migration_start
-    assert migrated_store.migrated == len({job_key(job) for job in jobs})
-    migrated_results = run_design_jobs(jobs, cache=migrated_store)
-    assert migrated_store.misses == 0
 
     # Correctness gate: every route serves byte-identical metrics.
     digest_cold = _digest(cold_results)
     assert digest_cold == _digest(warm_results), (
         "packed warm path diverged from the cold vectorized results"
     )
-    assert digest_cold == _digest(migrated_results), (
-        "migrated legacy entries diverged from the cold vectorized results"
-    )
-    assert digest_cold == _digest(legacy_results), (
-        "legacy per-pickle warm path diverged from the cold results"
+    assert digest_cold == _digest(disk_results), (
+        "packed disk tier diverged from the cold vectorized results"
     )
 
     speedup_cold = t_cold / t_warm
-    speedup_legacy = t_legacy / t_warm
     rows = [
         (
             "cold vectorized (no cache)",
             f"{t_cold * 1e3:.1f}",
             f"{len(jobs) / t_cold:.0f}",
             "1.00x",
-        ),
-        (
-            "legacy per-pickle warm",
-            f"{t_legacy * 1e3:.1f}",
-            f"{len(jobs) / t_legacy:.0f}",
-            f"{t_cold / t_legacy:.2f}x",
         ),
         (
             "packed warm, disk tier (mmap)",
@@ -164,7 +111,7 @@ def test_cache_plane_speedup(tmp_path):
             ("cache route", "wall-clock (ms)", "jobs/s", "vs cold"),
             rows,
             title=(
-                f"ISSUE-5 cache plane: {len(jobs)} jobs, "
+                f"Cache plane: {len(jobs)} jobs, "
                 f"{len(store)} unique entries (quick={QUICK})"
             ),
         )
@@ -176,21 +123,17 @@ def test_cache_plane_speedup(tmp_path):
         "jobs": len(jobs),
         "unique_entries": len(store),
         "cold_vectorized_s": t_cold,
-        "legacy_warm_s": t_legacy,
         "packed_warm_memory_s": t_warm,
         "packed_warm_disk_s": t_disk,
-        "legacy_migration_s": t_migration,
         "jobs_per_s": {
             "cold_vectorized": len(jobs) / t_cold,
-            "legacy_warm": len(jobs) / t_legacy,
             "packed_warm_memory": len(jobs) / t_warm,
             "packed_warm_disk": len(jobs) / t_disk,
         },
         "speedup_vs_cold": speedup_cold,
-        "speedup_vs_legacy": speedup_legacy,
         "byte_identical": True,
-        "store": migrated_store.stats() | {"warm_stats": store.stats()},
-        "floors": {"cold": COLD_FLOOR, "legacy": LEGACY_FLOOR},
+        "store": disk_store.stats() | {"warm_stats": store.stats()},
+        "floors": {"cold": COLD_FLOOR},
     }
     with open(JSON_PATH, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
@@ -199,9 +142,4 @@ def test_cache_plane_speedup(tmp_path):
     assert speedup_cold >= COLD_FLOOR, (
         f"packed warm path only {speedup_cold:.2f}x the cold vectorized "
         f"route (floor {COLD_FLOOR}x); cold={t_cold:.3f}s warm={t_warm:.3f}s"
-    )
-    assert speedup_legacy >= LEGACY_FLOOR, (
-        f"packed warm path only {speedup_legacy:.2f}x the legacy "
-        f"per-pickle warm path (floor {LEGACY_FLOOR}x); "
-        f"legacy={t_legacy:.3f}s warm={t_warm:.3f}s"
     )

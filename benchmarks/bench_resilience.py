@@ -1,8 +1,8 @@
 """ISSUE-8 acceptance benchmark: the resilience plane's overhead budget.
 
 The failpoint hooks (:mod:`repro.reliability.failpoints`) sit on the
-hottest substrate paths — every pool chunk, every store publish and
-every store read goes through ``check``/``inject``/``corrupted``.  The
+hottest substrate paths — every store publish and every store read
+goes through ``check``/``inject``/``corrupted``.  The
 contract that made that acceptable is that *disarmed* hooks are a
 dictionary miss and nothing more.  This module gates that contract on
 the stride-sweep grid the cache and sweep planes use
@@ -23,11 +23,11 @@ construction, so timing them would gate nothing).
    contention epoch can still bias a whole round, so up to ``ROUNDS``
    rounds run and the first one within the ceiling passes (a genuine
    hook regression inflates every round).
-3. **Chaos recovery** (informational, not time-gated): a grid slice on
-   the scalar pool under an armed
-   ``pool.worker:io_error;store.put_many:io_error;store.get_many:corrupt``
-   matrix must still produce *byte-identical* results — the headline
-   invariant of ``tests/reliability/`` measured at benchmark scale.
+3. **Chaos recovery** (informational, not time-gated): a grid slice
+   published into and read back from a store under an armed
+   ``store.put_many:io_error;store.get_many:corrupt`` matrix must still
+   produce *byte-identical* results — the headline invariant of
+   ``tests/reliability/`` measured at benchmark scale.
 
 Measurements land in ``BENCH_resilience.json`` (path override:
 ``RED_BENCH_RESILIENCE_JSON``), uploaded as a CI artifact.
@@ -67,18 +67,10 @@ ROUNDS = 4
 #: Warm sweeps per timed sample — sized so each timed leg runs long
 #: enough (~200 ms+) that scheduler jitter cannot swamp a 2% signal.
 LOOP = 50 if QUICK else 3
-#: Chaos slice: the scalar pool path is the expensive route, so the
-#: informational recovery row runs on a bounded prefix of the grid.
+#: Chaos slice: the informational recovery row runs on a bounded
+#: prefix of the grid.
 CHAOS_JOBS = 60 if QUICK else 240
-#: A pool chunk fails when ANY of its jobs fires, so bound the chunk —
-#: at 8 jobs/chunk and rate 0.05 each attempt fails ~34% of the time
-#: and ten attempts exhaust with probability ~2e-5 per chunk.
-CHAOS_CHUNK = 8
-CHAOS_SPEC = (
-    "pool.worker:io_error@0.05;"
-    "store.put_many:io_error@0.3;"
-    "store.get_many:corrupt@0.3"
-)
+CHAOS_SPEC = "store.put_many:io_error@0.3;store.get_many:corrupt@0.3"
 
 JSON_PATH = os.environ.get("RED_BENCH_RESILIENCE_JSON", "BENCH_resilience.json")
 
@@ -169,26 +161,20 @@ def test_disarmed_hooks_within_overhead_budget(tmp_path):
 
         # --- informational chaos-recovery row -------------------------
         chaos_jobs = jobs[:CHAOS_JOBS]
-        fault_free = run_design_jobs(chaos_jobs, vectorized=False)
+        policy = RetryPolicy(max_attempts=4, sleeper=no_sleep)
+
+        def publish_and_reread(directory):
+            """Cold publish, then a fresh store's disk-tier reads."""
+            run_design_jobs(chaos_jobs, cache=PackedSweepStore(directory, retry_policy=policy))
+            store = PackedSweepStore(directory, retry_policy=policy)
+            return run_design_jobs(chaos_jobs, cache=store), store
+
         t_start = time.perf_counter()
-        run_design_jobs(chaos_jobs, num_workers=2, vectorized=False)
+        fault_free, _ = publish_and_reread(tmp_path / "clean")
         t_clean = time.perf_counter() - t_start
         with configured_failpoints(CHAOS_SPEC, seed=0):
-            store = PackedSweepStore(
-                tmp_path / "chaos",
-                retry_policy=RetryPolicy(max_attempts=4, sleeper=no_sleep),
-            )
             t_start = time.perf_counter()
-            chaos_results = run_design_jobs(
-                chaos_jobs,
-                num_workers=2,
-                cache=store,
-                vectorized=False,
-                chunk_size=CHAOS_CHUNK,
-                retry_policy=RetryPolicy(
-                    max_attempts=10, base_delay_s=0.0, sleeper=no_sleep
-                ),
-            )
+            chaos_results, store = publish_and_reread(tmp_path / "chaos")
             t_chaos = time.perf_counter() - t_start
         assert _digest(chaos_results) == _digest(fault_free), (
             "chaos run diverged from the fault-free results"
@@ -208,10 +194,10 @@ def test_disarmed_hooks_within_overhead_budget(tmp_path):
             f"{1.0 + overhead:.3f}x (paired median)",
         ),
         (
-            f"chaos matrix, {len(chaos_jobs)} scalar pool jobs",
+            f"store chaos matrix, {len(chaos_jobs)} jobs",
             f"{t_chaos * 1e3:.1f}",
             f"{len(chaos_jobs) / t_chaos:.0f}",
-            f"{t_chaos / t_clean:.3f}x vs clean pool",
+            f"{t_chaos / t_clean:.3f}x vs clean store",
         ),
     ]
     emit(
@@ -246,7 +232,7 @@ def test_disarmed_hooks_within_overhead_budget(tmp_path):
             "jobs": len(chaos_jobs),
             "spec": CHAOS_SPEC,
             "recovery_s": t_chaos,
-            "clean_pool_s": t_clean,
+            "clean_store_s": t_clean,
             "byte_identical": True,
             "store": store.stats(),
         },

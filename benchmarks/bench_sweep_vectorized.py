@@ -1,23 +1,20 @@
 """ISSUE-4 acceptance benchmark: the vectorized analytic sweep plane.
 
-One grid, three execution routes through
-:func:`repro.eval.parallel.run_design_jobs` — the path every figure,
-ablation grid, stride sweep and network mapping hammers:
+One grid, two execution routes — the path every figure, ablation grid,
+stride sweep and network mapping hammers:
 
-1. **Scalar sequential** (``num_workers=1, vectorized=False``): the
-   seed-era oracle path, one design object + scalar Eq. 3/4 walk per
-   job.
-2. **Process pool** (``num_workers=4, vectorized=False``): the PR-1
-   mitigation, hiding the interpreter cost behind worker processes.
-3. **Vectorized plane** (``vectorized=True``, the default): one
-   struct-of-arrays batch per (design, tech) group
+1. **Scalar sequential**: the oracle,
+   :func:`~repro.eval.parallel.evaluate_design_job` per job — one
+   design object + scalar Eq. 3/4 walk each.
+2. **Vectorized plane**: :func:`repro.eval.parallel.run_design_jobs`,
+   one struct-of-arrays batch per (design, tech) group
    (:mod:`repro.eval.vectorized`), evaluated in-process.
 
 The grid mirrors the paper's stride sweep (FCN rule ``K = 2s``,
 ``p = s/2``) across all registered designs, input sizes, channel/filter
 widths and two technology points — ~10k unique jobs in full mode.
-Gates: the vectorized route must be **>= 20x** the scalar sequential
-route and **>= 3x** the 4-worker pool, with every job's
+Gate: the vectorized route must be **>= 20x** the scalar sequential
+route, with every job's
 ``DesignMetrics`` *bit-identical* (pickle-byte equal) to the scalar
 oracle.  Measurements land in ``BENCH_sweep.json`` (path override:
 ``RED_BENCH_SWEEP_JSON``), which CI uploads as an artifact.  Set
@@ -37,7 +34,7 @@ from benchmarks.conftest import emit
 from repro.api.registry import available_designs
 from repro.arch.tech import default_tech
 from repro.deconv.shapes import DeconvSpec
-from repro.eval.parallel import DesignJob, run_design_jobs
+from repro.eval.parallel import DesignJob, evaluate_design_job, run_design_jobs
 from repro.utils.formatting import render_ascii_table
 
 QUICK = os.environ.get("RED_BENCH_QUICK") == "1"
@@ -55,8 +52,6 @@ FCN32_CHANNELS = (8, 16, 32)
 FCN32_FILTERS = (8, 16)
 
 SCALAR_FLOOR = 5.0 if QUICK else 20.0
-POOL_FLOOR = 1.2 if QUICK else 3.0
-POOL_WORKERS = 4
 REPEATS = 2 if QUICK else 3
 
 JSON_PATH = os.environ.get("RED_BENCH_SWEEP_JSON", "BENCH_sweep.json")
@@ -96,6 +91,11 @@ def build_grid() -> list[DesignJob]:
     return jobs
 
 
+def scalar_sweep(jobs: list[DesignJob]) -> list:
+    """The oracle route: one scalar evaluation per job."""
+    return [evaluate_design_job(job) for job in jobs]
+
+
 def _median_time(fn, repeats: int = REPEATS) -> float:
     samples = []
     for _ in range(repeats):
@@ -111,22 +111,16 @@ def test_vectorized_sweep_speedup():
     # Correctness gate first: the vectorized plane must be bit-identical
     # to the scalar oracle, job for job (pickle bytes compare every
     # float64 component exactly).
-    scalar_results = run_design_jobs(jobs, num_workers=1, vectorized=False)
-    vectorized_results = run_design_jobs(jobs, vectorized=True)
+    scalar_results = scalar_sweep(jobs)
+    vectorized_results = run_design_jobs(jobs)
     for job, scalar, vectorized in zip(jobs, scalar_results, vectorized_results):
         assert pickle.dumps(scalar, 5) == pickle.dumps(vectorized, 5), (
             f"vectorized plane diverged from the scalar oracle on {job.layer_name}"
         )
 
-    t_scalar = _median_time(
-        lambda: run_design_jobs(jobs, num_workers=1, vectorized=False)
-    )
-    t_pool = _median_time(
-        lambda: run_design_jobs(jobs, num_workers=POOL_WORKERS, vectorized=False)
-    )
-    t_vectorized = _median_time(lambda: run_design_jobs(jobs, vectorized=True))
+    t_scalar = _median_time(lambda: scalar_sweep(jobs))
+    t_vectorized = _median_time(lambda: run_design_jobs(jobs))
     speedup_scalar = t_scalar / t_vectorized
-    speedup_pool = t_pool / t_vectorized
 
     emit(
         render_ascii_table(
@@ -137,12 +131,6 @@ def test_vectorized_sweep_speedup():
                     f"{t_scalar * 1e3:.1f}",
                     f"{len(jobs) / t_scalar:.0f}",
                     "1.00x",
-                ),
-                (
-                    f"process pool ({POOL_WORKERS} workers)",
-                    f"{t_pool * 1e3:.1f}",
-                    f"{len(jobs) / t_pool:.0f}",
-                    f"{t_scalar / t_pool:.2f}x",
                 ),
                 (
                     "vectorized plane (bit-identical)",
@@ -176,14 +164,11 @@ def test_vectorized_sweep_speedup():
             "techs": NUM_TECHS,
         },
         "scalar_sequential_s": t_scalar,
-        "pool_s": t_pool,
-        "pool_workers": POOL_WORKERS,
         "vectorized_s": t_vectorized,
         "speedup_vs_scalar": speedup_scalar,
-        "speedup_vs_pool": speedup_pool,
         "jobs_per_s_vectorized": len(jobs) / t_vectorized,
         "bit_identical": True,
-        "floors": {"scalar": SCALAR_FLOOR, "pool": POOL_FLOOR},
+        "floors": {"scalar": SCALAR_FLOOR},
     }
     with open(JSON_PATH, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
@@ -193,9 +178,4 @@ def test_vectorized_sweep_speedup():
         f"vectorized plane only {speedup_scalar:.1f}x faster than the scalar "
         f"sequential path (floor {SCALAR_FLOOR}x); "
         f"scalar={t_scalar:.3f}s vectorized={t_vectorized:.3f}s"
-    )
-    assert speedup_pool >= POOL_FLOOR, (
-        f"vectorized plane only {speedup_pool:.2f}x faster than the "
-        f"{POOL_WORKERS}-worker pool (floor {POOL_FLOOR}x); "
-        f"pool={t_pool:.3f}s vectorized={t_vectorized:.3f}s"
     )

@@ -14,8 +14,10 @@ reverts a measured 10-100x win:
 * ``evaluate_design`` / ``evaluate_design_job`` may be called for a
   single evaluation anywhere (that *is* the scalar oracle surface), but
   never inside a ``for``/``while`` body or comprehension outside the
-  batch substrate ``repro.eval.parallel`` — a per-job loop belongs on
-  the vectorized plane (``run_design_jobs``).
+  batch pipeline ``repro.eval.parallel``.  There the one remaining
+  per-job loop is the inline path for designs that register no
+  ``perf_batch`` hook; every other job list belongs on the vectorized
+  plane (``run_design_jobs``).
 
 Tests and benchmarks are exempt: exercising the oracle is their job.
 """

@@ -21,8 +21,8 @@ Module map (the request -> service -> engine flow)
   :class:`~repro.api.service.RedService` fronts the batch/cache
   substrate: requests are flattened into
   :class:`~repro.eval.parallel.DesignJob` lists and executed by
-  :func:`~repro.eval.parallel.run_design_jobs` (process pool + on-disk
-  :class:`~repro.eval.parallel.SweepCache`); ``trace=True`` adds
+  :func:`~repro.eval.parallel.run_design_jobs` (vectorized plane +
+  on-disk :class:`~repro.eval.store.PackedSweepStore`); ``trace=True`` adds
   cycle-level :class:`~repro.eval.parallel.CycleStats` via the
   :class:`~repro.sim.batch.BatchEngine`, persisted in the same cache.
   ``submit()``/``gather()`` run any request on a service thread pool.
@@ -48,7 +48,7 @@ Registering a fourth design
     # `repro report --json`, and the sweep cache keyspace.
 
 Attributes are imported lazily (PEP 562) so that leaf modules —
-including process-pool workers importing :mod:`repro.api.registry` —
+including serving shard processes importing :mod:`repro.api.registry` —
 never drag in the whole evaluation stack.
 """
 

@@ -26,17 +26,15 @@ Registering a fourth design from user code::
 The class is returned unchanged; from then on ``"my-design"`` is a valid
 design name in every request, sweep, CLI invocation and cache key.
 
-Process-pool caveat: registration is per-process.  The parallel runner
-(``run_design_jobs`` with ``num_workers > 1``) resolves names inside its
-worker processes, which on spawn-based platforms (macOS/Windows) import
-modules fresh — so register plugin designs at import time of a module
-the workers also import, or evaluate them with ``num_workers=1`` (the
-default).  The built-ins are always available: they register when this
-module is imported.
+Registration is per-process.  ``run_design_jobs`` evaluates in the
+calling process, and serving shards are forked from a parent that has
+already imported its plugins, so they see the same registry.  The
+built-ins are always available: they register when this module is
+imported.
 
 This module is deliberately a leaf: it imports only :mod:`repro.errors`
 at module scope (the built-in factories import their design classes
-lazily), so anything — including the process-pool sweep workers — can
+lazily), so anything — including the serving shard processes — can
 import it without dragging in the whole evaluation stack.
 """
 

@@ -7,7 +7,7 @@ a :class:`RedService`, and get a frozen result back::
 
     from repro.api import EvaluationRequest, RedService
 
-    with RedService(num_workers=4, cache="~/.cache/red") as service:
+    with RedService(cache="~/.cache/red") as service:
         result = service.evaluate(EvaluationRequest(layer="GAN_Deconv1"))
         print(result.metrics_for("RED").latency.total)
 
@@ -20,10 +20,8 @@ the library-level helpers :meth:`~RedService.grid`,
 :func:`repro.system.network_mapper.evaluate_network` delegate to —
 flattens the work into :class:`~repro.eval.parallel.DesignJob` entries
 and routes them through :func:`~repro.eval.parallel.run_design_jobs`,
-the single evaluation substrate (vectorized plane / process pool +
-batched on-disk :class:`~repro.eval.store.PackedSweepStore`; the
-legacy :class:`~repro.eval.parallel.SweepCache` is still accepted as a
-ready-made store).  ``trace=True`` requests
+the single evaluation substrate (vectorized plane + batched on-disk
+:class:`~repro.eval.store.PackedSweepStore`).  ``trace=True`` requests
 additionally run :func:`~repro.eval.parallel.run_cycle_jobs`, whose
 cycle-level :class:`~repro.eval.parallel.CycleStats` persist in the
 same cache under the ``"cycles"`` kind.
@@ -64,7 +62,6 @@ from repro.errors import ParameterError, SchemaError, ServiceClosedError
 from repro.eval.parallel import (
     DesignJob,
     FidelityJob,
-    SweepCache,
     _coerce_cache,
     run_cycle_jobs,
     run_design_jobs,
@@ -78,11 +75,8 @@ class RedService:
     """Concurrent facade over the evaluation substrate.
 
     Args:
-        num_workers: process-pool width for cache misses (1 = inline).
-        cache: a :class:`~repro.eval.store.PackedSweepStore`, a legacy
-            :class:`SweepCache`, a cache directory path (constructs the
-            packed store, migrating legacy directory-of-pickles
-            content), or ``None``.
+        cache: a :class:`~repro.eval.store.PackedSweepStore`, a cache
+            directory path (constructs the packed store), or ``None``.
         tech: base technology the per-request overrides apply to
             (default: :func:`default_tech`).
         service_threads: thread-pool width for :meth:`submit`.
@@ -91,17 +85,12 @@ class RedService:
         cycle_dtype: execution dtype of the fused cycle-level batch
             executor (``"float64"`` — bit-identical to per-job engine
             runs — or ``"float32"`` for throughput-bound sweeps).
-        vectorized: route analytic cache misses through the
-            struct-of-arrays evaluation plane
-            (:mod:`repro.eval.vectorized`, the default).  ``False``
-            forces the scalar per-job oracle path — results are
-            bit-identical either way.
         timeout: optional wall-clock budget in seconds, forwarded to
             every runner call the service makes; exceeding it raises
             :class:`~repro.errors.EvaluationTimeoutError`.
         retry_policy: :class:`~repro.reliability.RetryPolicy` the
-            runners apply to transient failures (worker crashes,
-            I/O errors); ``None`` uses the runners' default.
+            runners apply to transient evaluation failures (I/O
+            errors); ``None`` uses the runners' default.
         design_runner: the evaluation substrate for analytic metrics —
             any callable with :func:`~repro.eval.parallel.run_design_jobs`'
             signature.  The default is ``run_design_jobs`` itself; the
@@ -115,22 +104,17 @@ class RedService:
 
     def __init__(
         self,
-        num_workers: int = 1,
-        cache: SweepCache | PackedSweepStore | str | os.PathLike | None = None,
+        cache: PackedSweepStore | str | os.PathLike | None = None,
         tech: TechnologyParams | None = None,
         service_threads: int = 4,
         max_sub_crossbars: int = 128,
         cycle_dtype: str = "float64",
-        vectorized: bool = True,
         timeout: float | None = None,
         retry_policy: RetryPolicy | None = None,
         design_runner=None,
     ) -> None:
-        if num_workers < 1:
-            raise ParameterError(f"num_workers must be >= 1, got {num_workers}")
         if service_threads < 1:
             raise ParameterError(f"service_threads must be >= 1, got {service_threads}")
-        self.num_workers = num_workers
         # Coerce once: a path builds one PackedSweepStore for the
         # service's whole lifetime, so every request shares its offset
         # index, mmaps and in-memory LRU hit tier (re-coercing per call
@@ -142,7 +126,6 @@ class RedService:
         self.service_threads = service_threads
         self.max_sub_crossbars = max_sub_crossbars
         self.cycle_dtype = cycle_dtype
-        self.vectorized = vectorized
         if timeout is not None and not timeout > 0:
             raise ParameterError(f"timeout must be > 0 seconds, got {timeout!r}")
         self.timeout = timeout
@@ -159,9 +142,7 @@ class RedService:
         the serving front door propagates each wire deadline here.
         """
         return {
-            "num_workers": self.num_workers,
             "cache": self.cache,
-            "vectorized": self.vectorized,
             "timeout": self.timeout if timeout is None else timeout,
             "retry_policy": self.retry_policy,
         }
@@ -282,7 +263,7 @@ class RedService:
     ) -> SweepResult:
         """Run the stride-speedup sweep a request describes.
 
-        A transient failure (worker crash, I/O fault) in the batched
+        A transient failure (shard loss, I/O fault) in the batched
         run does not lose the whole sweep: the service falls back to
         per-stride evaluation and reports strides that still fail as
         :class:`~repro.api.schema.ErrorInfo` entries in

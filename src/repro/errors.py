@@ -19,10 +19,9 @@ Error                        Handling   Rationale
 ``OSError`` (incl. injected  retried    transient I/O: a later attempt can
 ``InjectedFaultError``)                 succeed; the store degrades to
                                         read-only once retries exhaust
-``WorkerCrashError`` /       retried    a pool worker died (OOM-kill
-``BrokenProcessPool``                   analogue); the runner respawns the
-                                        pool once, then degrades to
-                                        in-process scalar execution
+``WorkerCrashError`` /       retried    a worker process died (OOM-kill
+``BrokenProcessPool``                   analogue); a later attempt on a
+                                        fresh worker can succeed
 ``ShardUnavailableError``    retried    a serving shard is down, mid-restart
                                         or circuit-broken; the supervisor
                                         respawns it and the front door
@@ -120,7 +119,7 @@ class InjectedFaultError(ReliabilityError, OSError):
 
 
 class WorkerCrashError(ReliabilityError):
-    """A pool worker died (or a ``crash`` failpoint fired in-process)."""
+    """A worker process died (or a ``crash`` failpoint fired in-process)."""
 
 
 class EvaluationTimeoutError(ReliabilityError, TimeoutError):

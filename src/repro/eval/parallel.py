@@ -1,83 +1,68 @@
-"""Process-parallel sweep execution with an on-disk result cache.
+"""One batch pipeline for every evaluation the repo runs, plus its keys.
 
 Architecture
 ------------
 Every sweep in the repo — the stride sweep (:mod:`repro.eval.sweeps`),
-the design x layer grid (:mod:`repro.eval.harness`) and whole-network
+the design x layer grid (:mod:`repro.eval.harness`), whole-network
 evaluation (:mod:`repro.system.network_mapper` /
-:mod:`repro.system.pipeline`) — reduces to a flat list of independent
-*(design, spec, tech, fold)* evaluations.  This module is the single
-execution substrate for that list:
+:mod:`repro.system.pipeline`), traced layers and device-fidelity
+sweeps — reduces to a flat list of independent jobs.  This module is
+the single execution substrate for those lists:
 
-1. :class:`DesignJob` — a frozen, picklable description of one
-   evaluation.  ``fold=None`` means "the design's own default" (RED
-   resolves it to ``'auto'``); the other designs ignore the field.
-2. :func:`evaluate_design_job` — the pure worker: build the design,
-   run its analytical model, return the :class:`DesignMetrics`.  It is a
-   module-level function so :class:`concurrent.futures.ProcessPoolExecutor`
-   can pickle it.
-3. :func:`job_key` / :func:`job_keys` — the cache keying layer: a
-   SHA-256 over the canonical field-by-field representation of
-   ``(design, fold, spec, tech)`` plus a schema version and a payload
-   *kind*.  Changing *any* field of the spec or of
-   :class:`~repro.arch.tech.TechnologyParams` changes the key, so stale
-   results can never be served after a calibration tweak
-   (``tests/eval/test_sweep_cache.py``).  :func:`job_keys` computes the
-   keys for a whole work list in one batched pass — the design/fold
-   head and the technology segment are memoized by identity+value (a
-   sweep has thousands of jobs but a handful of techs), the spec
-   segments are built struct-of-arrays from
-   :class:`~repro.deconv.shapes.SpecArrays`, and only the final
-   concatenated bytes are hashed per job.  It is property-tested equal
-   to the scalar :func:`job_key` (``tests/eval/test_store.py``).
-4. Stores.  The default on-disk tier is the
-   :class:`~repro.eval.store.PackedSweepStore` — sharded append-only
-   segment files, a compact mmap-read offset index published atomically
-   once per batch, and a bounded in-memory LRU hit tier (see
-   :mod:`repro.eval.store`).  :class:`SweepCache` remains as the
-   compatibility shim over the original directory-of-pickles layout
-   (one atomic ``os.replace`` per entry); the packed store migrates
-   that layout in place.  Both speak the same batch protocol
-   (``get_many(keys, kind)`` / ``put_many(entries, kind)``) and hold
-   two kinds side by side: ``"metrics"`` (analytic
-   :class:`DesignMetrics`) and ``"cycles"`` (:class:`CycleStats`
-   measured by the cycle-level :class:`~repro.sim.batch.BatchEngine`).
-5. :func:`run_design_jobs` — the sweep runner.  Cache hits are
-   resolved first through one batched probe (no per-job cache calls on
-   the hot loop); the misses are deduped and, by default, evaluated
-   in-process through the vectorized analytic plane
-   (:mod:`repro.eval.vectorized`): one struct-of-arrays batch per
-   (design, tech) group, no per-job design objects.  Designs without a
-   registered ``perf_batch`` hook — and every run with
-   ``vectorized=False`` — take the scalar per-job path instead, inline
-   (``num_workers <= 1``) or on a process pool capped at the unique
-   miss count, in deterministic chunks.  New results are published
-   back in one ``put_many`` batch.  Results always come back in job
-   order, byte-identical regardless of route, worker count or cache
-   temperature (``tests/properties/test_parallel_determinism.py``,
-   ``tests/eval/test_vectorized.py``).
-6. :func:`run_cycle_jobs` — the cycle-level companion: runs every
-   trace-capable job (RED) through the batch engine and persists the
-   resulting :class:`CycleStats` under the ``"cycles"`` cache kind,
-   with the same batched probe/publish discipline.
-7. :func:`run_fidelity_jobs` — the Monte-Carlo device-fidelity
-   companion: draws :class:`FidelityJob` samples through the batched
-   struct-of-arrays sampler (:mod:`repro.reram.batch`), grouped per
-   (design, spec, tech, scenario), and persists the resulting
-   :class:`FidelityStats` under the ``"fidelity"`` cache kind — same
-   probe/publish discipline, same relabel-on-hit semantics.
+1. Jobs.  :class:`DesignJob` is one *(design, spec, tech, fold)*
+   evaluation; ``fold=None`` means "the design's own default" (RED
+   resolves it to ``'auto'``), the other designs ignore the field.
+   :class:`FidelityJob` is one Monte-Carlo device-fidelity draw.  The
+   ``layer_name`` of either is a label, never an input.
+2. Keys.  :func:`job_key` / :func:`fidelity_job_key` are SHA-256 digests
+   over the canonical field-by-field representation of the job plus a
+   schema version and a payload *kind*.  Changing *any* field of the
+   spec or of :class:`~repro.arch.tech.TechnologyParams` changes the
+   key, so stale results can never be served after a calibration tweak
+   (``tests/eval/test_sweep_cache.py``).  :func:`job_keys` /
+   :func:`fidelity_job_keys` key a whole work list in one pass through
+   one shared builder: spec segments are built struct-of-arrays from
+   :class:`~repro.deconv.shapes.SpecArrays`, technology segments are
+   memoized by identity and value, and only the concatenated bytes are
+   hashed per job.  Both are property-tested equal to their scalar
+   forms (``tests/eval/test_store.py``).
+3. The store.  :class:`~repro.eval.store.PackedSweepStore` speaks
+   ``get_many(keys, kind)`` / ``put_many(entries, kind)`` and holds
+   three kinds side by side: ``"metrics"`` (analytic
+   :class:`DesignMetrics`), ``"cycles"`` (:class:`CycleStats` from the
+   cycle-level :class:`~repro.sim.batch.BatchEngine`) and
+   ``"fidelity"`` (:class:`FidelityStats`).
+4. The pipeline.  ``_run_pipeline`` drives every kind through the same
+   steps, parameterized by a small per-kind ``_KindSpec`` (store kind,
+   key function, grouping token, batch evaluator):
+
+   * probe — one batched key pass and one ``get_many`` (store-backed
+     calls only; hits are relabelled to the requesting job);
+   * dedupe — misses are grouped by their store key, or, without a
+     store, by an in-memory value token that induces the same
+     partition without hashing;
+   * evaluate — one batch call over the unique misses;
+   * publish — one ``put_many``;
+   * fan-out — every job gets its group's result, relabelled.
+
+   The store is touched at most twice per call, never per job, and
+   results come back in job order, byte-identical whatever the store
+   temperature (``tests/properties/test_parallel_determinism.py``).
+5. Entry points.  :func:`run_design_jobs` evaluates misses through the
+   vectorized analytic plane (:mod:`repro.eval.vectorized`); designs
+   without a registered ``perf_batch`` hook run inline through
+   :func:`evaluate_design_job`, which stays the scalar bit-identity
+   oracle.  :func:`run_cycle_jobs` runs trace-capable jobs through one
+   fused :class:`~repro.sim.batch.BatchEngine` batch, and
+   :func:`run_fidelity_jobs` samples one
+   :func:`~repro.reram.batch.sample_fidelity_grid` call per
+   (design, spec, tech, scenario) group.
 
 Design names are resolved through :mod:`repro.api.registry` — this
-module contains no hard-coded design dispatch.
-
-How benchmarks should use it
-----------------------------
-Build the job list once, pass ``num_workers``/``cache`` through from the
-CLI (``repro sweep --jobs N --cache DIR``), and time
-:func:`run_design_jobs` itself — see
-``benchmarks/bench_batch_engine.py`` for the reference comparison
-against the sequential path.  A warm cache makes repeated sweeps
-near-free, so benchmark cold and warm separately.
+module contains no hard-coded design dispatch.  Collaborators
+(:func:`job_keys`, the vectorized plane, the batch engine, the fidelity
+sampler) are looked up at call time, so wrapping the module attributes
+instruments every call.
 """
 
 from __future__ import annotations
@@ -85,12 +70,8 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import tempfile
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.api.registry import get_design, resolve_design
 from repro.api.registry import build_design as _registry_build_design
@@ -98,9 +79,7 @@ from repro.arch.breakdown import DesignMetrics
 from repro.arch.tech import TechnologyParams
 from repro.deconv.shapes import DeconvSpec, SpecArrays
 from repro.designs.base import DeconvDesign
-from repro.errors import EvaluationTimeoutError, ParameterError
-from repro.reliability import failpoints
-from repro.reliability.policy import Deadline, RetryPolicy, is_retryable
+from repro.reliability.policy import Deadline, RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (import cycle guard)
     from repro.eval.store import PackedSweepStore
@@ -281,6 +260,13 @@ _FIDELITY_SCENARIO_FIELDS = (
 )
 
 
+def _walk(obj) -> str:
+    """``TypeName|field=value|...``: the key segment of a frozen dataclass."""
+    return "|".join(
+        (type(obj).__name__, *(f"{f.name}={getattr(obj, f.name)!r}" for f in fields(obj)))
+    )
+
+
 def job_key(job: DesignJob, kind: str = METRICS_KIND) -> str:
     """Stable content hash of ``(kind, design, fold, spec, tech)``.
 
@@ -291,23 +277,22 @@ def job_key(job: DesignJob, kind: str = METRICS_KIND) -> str:
     via :func:`_canonical_fold` and the design name via
     :func:`repro.api.registry.resolve_design`, so aliases share entries.
     """
-    parts = [
+    parts = (
         f"schema={CACHE_SCHEMA_VERSION}",
         f"kind={kind}",
         f"design={resolve_design(job.design)}",
         f"fold={_canonical_fold(job)!r}",
-    ]
-    for obj in (job.spec, job.tech):
-        parts.append(type(obj).__name__)
-        parts.extend(f"{f.name}={getattr(obj, f.name)!r}" for f in fields(obj))
+        _walk(job.spec),
+        _walk(job.tech),
+    )
     return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
 
 
 def _spec_key_segments(specs: Sequence[DeconvSpec]) -> list[str]:
     """Per-spec key segments, built struct-of-arrays in one pass.
 
-    Equivalent to the ``type name + field=value`` walk :func:`job_key`
-    performs per spec, but columnar: the unique specs are packed into a
+    Equivalent to :func:`_walk` per spec (plus the joining ``|``), but
+    columnar: the unique specs are packed into a
     :class:`~repro.deconv.shapes.SpecArrays` once and each segment is a
     single ``%``-format over the row.  (``repr(int) == '%d' % int``, and
     every :class:`DeconvSpec` field is a validated Python int.)
@@ -325,11 +310,51 @@ def _spec_key_segments(specs: Sequence[DeconvSpec]) -> list[str]:
             segments[index] = f"DeconvSpec|{template % row}|"
     for index, spec in enumerate(specs):
         if type(spec) is not DeconvSpec:  # subclass: fall back to the walk
-            walked = "|".join(
-                f"{f.name}={getattr(spec, f.name)!r}" for f in fields(spec)
-            )
-            segments[index] = f"{type(spec).__name__}|{walked}|"
+            segments[index] = f"{_walk(spec)}|"
     return segments
+
+
+def _hashed_keys(heads: Sequence[str], jobs: Sequence) -> list[str]:
+    """``sha256(head + spec segment + tech segment)`` per job.
+
+    The builder both batched key functions share.  A work list has
+    thousands of jobs over a handful of specs shapes and technology
+    instances, so each unique spec is walked once (struct-of-arrays via
+    :func:`_spec_key_segments`) and each technology's 30-field segment
+    once, memoized by identity and then by value.
+    """
+    spec_by_id: dict[int, int] = {}
+    spec_slots: dict[DeconvSpec, int] = {}
+    unique_specs: list[DeconvSpec] = []
+    tech_by_id: dict[int, str] = {}
+    tech_by_value: dict[TechnologyParams, str] = {}
+    slots: list[int] = []
+    tech_segments: list[str] = []
+    for job in jobs:
+        spec = job.spec
+        slot = spec_by_id.get(id(spec))
+        if slot is None:
+            slot = spec_slots.get(spec)
+            if slot is None:
+                slot = spec_slots[spec] = len(unique_specs)
+                unique_specs.append(spec)
+            spec_by_id[id(spec)] = slot
+        slots.append(slot)
+
+        tech = job.tech
+        segment = tech_by_id.get(id(tech))
+        if segment is None:
+            segment = tech_by_value.get(tech)
+            if segment is None:
+                segment = tech_by_value[tech] = _walk(tech)
+            tech_by_id[id(tech)] = segment
+        tech_segments.append(segment)
+    spec_segments = _spec_key_segments(unique_specs)
+    sha256 = hashlib.sha256
+    return [
+        sha256((head + spec_segments[slot] + tech).encode("utf-8")).hexdigest()
+        for head, slot, tech in zip(heads, slots, tech_segments)
+    ]
 
 
 def job_keys(
@@ -339,27 +364,15 @@ def job_keys(
 
     Bit-for-bit equal to ``[job_key(job, kind) for job in jobs]``
     (property-tested in ``tests/eval/test_store.py``) but engineered for
-    the warm hot path: a sweep has thousands of jobs over a handful of
-    designs, folds and technology instances, so the
-    ``schema|kind|design|fold`` head and the 30-field technology
-    segment are memoized by identity+value, the spec segments are built
-    struct-of-arrays via :class:`~repro.deconv.shapes.SpecArrays`, and
-    the per-job work reduces to one string concatenation plus one
-    SHA-256 over the final bytes.
+    the warm hot path: the ``schema|kind|design|fold`` head is memoized
+    per (design, fold) and the spec and technology segments come from
+    :func:`_hashed_keys`, so the per-job work reduces to one string
+    concatenation plus one SHA-256 over the final bytes.
     """
-    if not jobs:
-        return []
     prefix = f"schema={CACHE_SCHEMA_VERSION}|kind={kind}|design="
     design_info: dict[str, tuple[str, bool]] = {}
     head_memo: dict[tuple[str, type, object], str] = {}
-    spec_by_id: dict[int, int] = {}
-    spec_slots: dict[DeconvSpec, int] = {}
-    unique_specs: list[DeconvSpec] = []
-    tech_by_id: dict[int, str] = {}
-    tech_by_value: dict[TechnologyParams, str] = {}
     heads: list[str] = []
-    slots: list[int] = []
-    tech_segments: list[str] = []
     for job in jobs:
         info = design_info.get(job.design)
         if info is None:
@@ -376,39 +389,7 @@ def job_keys(
         if head is None:
             head = head_memo[head_token] = f"{prefix}{canonical}|fold={fold!r}|"
         heads.append(head)
-
-        spec = job.spec
-        slot = spec_by_id.get(id(spec))
-        if slot is None:
-            slot = spec_slots.get(spec)
-            if slot is None:
-                slot = spec_slots[spec] = len(unique_specs)
-                unique_specs.append(spec)
-            spec_by_id[id(spec)] = slot
-        slots.append(slot)
-
-        tech = job.tech
-        segment = tech_by_id.get(id(tech))
-        if segment is None:
-            segment = tech_by_value.get(tech)
-            if segment is None:
-                segment = tech_by_value[tech] = "|".join(
-                    (
-                        type(tech).__name__,
-                        *(
-                            f"{f.name}={getattr(tech, f.name)!r}"
-                            for f in fields(tech)
-                        ),
-                    )
-                )
-            tech_by_id[id(tech)] = segment
-        tech_segments.append(segment)
-    spec_segments = _spec_key_segments(unique_specs)
-    sha256 = hashlib.sha256
-    return [
-        sha256((head + spec_segments[slot] + tech).encode("utf-8")).hexdigest()
-        for head, slot, tech in zip(heads, slots, tech_segments)
-    ]
+    return _hashed_keys(heads, jobs)
 
 
 def fidelity_job_key(job: FidelityJob, kind: str = FIDELITY_KIND) -> str:
@@ -419,17 +400,14 @@ def fidelity_job_key(job: FidelityJob, kind: str = FIDELITY_KIND) -> str:
     in the hash, and ``layer_name`` does not — identical samples share
     one cached :class:`FidelityStats`.
     """
-    parts = [
+    parts = (
         f"schema={CACHE_SCHEMA_VERSION}",
         f"kind={kind}",
         f"design={resolve_design(job.design)}",
-    ]
-    parts.extend(
-        f"{name}={getattr(job, name)!r}" for name in _FIDELITY_SCENARIO_FIELDS
+        *(f"{name}={getattr(job, name)!r}" for name in _FIDELITY_SCENARIO_FIELDS),
+        _walk(job.spec),
+        _walk(job.tech),
     )
-    for obj in (job.spec, job.tech):
-        parts.append(type(obj).__name__)
-        parts.extend(f"{f.name}={getattr(obj, f.name)!r}" for f in fields(obj))
     return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
 
 
@@ -440,22 +418,12 @@ def fidelity_job_keys(
 
     Bit-for-bit equal to ``[fidelity_job_key(job, kind) for job in jobs]``
     (property-tested in ``tests/eval/test_store.py``); the design
-    resolution, the spec segments (struct-of-arrays via
-    :func:`_spec_key_segments`) and the 30-field technology segment are
-    memoized exactly like :func:`job_keys`.
+    resolution is memoized and the spec and technology segments come
+    from :func:`_hashed_keys`, exactly like :func:`job_keys`.
     """
-    if not jobs:
-        return []
     prefix = f"schema={CACHE_SCHEMA_VERSION}|kind={kind}|design="
     canonical: dict[str, str] = {}
-    spec_by_id: dict[int, int] = {}
-    spec_slots: dict[DeconvSpec, int] = {}
-    unique_specs: list[DeconvSpec] = []
-    tech_by_id: dict[int, str] = {}
-    tech_by_value: dict[TechnologyParams, str] = {}
     heads: list[str] = []
-    slots: list[int] = []
-    tech_segments: list[str] = []
     for job in jobs:
         name = canonical.get(job.design)
         if name is None:
@@ -465,39 +433,7 @@ def fidelity_job_keys(
             for field_name in _FIDELITY_SCENARIO_FIELDS
         )
         heads.append(f"{prefix}{name}|{scenario}|")
-
-        spec = job.spec
-        slot = spec_by_id.get(id(spec))
-        if slot is None:
-            slot = spec_slots.get(spec)
-            if slot is None:
-                slot = spec_slots[spec] = len(unique_specs)
-                unique_specs.append(spec)
-            spec_by_id[id(spec)] = slot
-        slots.append(slot)
-
-        tech = job.tech
-        segment = tech_by_id.get(id(tech))
-        if segment is None:
-            segment = tech_by_value.get(tech)
-            if segment is None:
-                segment = tech_by_value[tech] = "|".join(
-                    (
-                        type(tech).__name__,
-                        *(
-                            f"{f.name}={getattr(tech, f.name)!r}"
-                            for f in fields(tech)
-                        ),
-                    )
-                )
-            tech_by_id[id(tech)] = segment
-        tech_segments.append(segment)
-    spec_segments = _spec_key_segments(unique_specs)
-    sha256 = hashlib.sha256
-    return [
-        sha256((head + spec_segments[slot] + tech).encode("utf-8")).hexdigest()
-        for head, slot, tech in zip(heads, slots, tech_segments)
-    ]
+    return _hashed_keys(heads, jobs)
 
 
 def build_design_for_job(job: DesignJob) -> DeconvDesign:
@@ -510,7 +446,7 @@ def build_design_for_job(job: DesignJob) -> DeconvDesign:
 
 
 def evaluate_design_job(job: DesignJob) -> DesignMetrics:
-    """The pure worker: evaluate one job's analytical model."""
+    """The scalar oracle: evaluate one job's analytical model."""
     return build_design_for_job(job).evaluate(job.layer_name)
 
 
@@ -518,152 +454,6 @@ def evaluate_design_job(job: DesignJob) -> DesignMetrics:
 #: passes none.  Small real backoff in production; tests inject a
 #: no-sleep policy (``repro.reliability.policy.no_sleep``).
 DEFAULT_RETRY_POLICY = RetryPolicy()
-
-
-def _pool_worker_init(points, seed: int) -> None:
-    """Arm a fresh pool worker with the parent's failpoint config.
-
-    Passed as the pool initializer so the configuration survives any
-    multiprocessing start method (spawned workers re-read only the
-    environment otherwise), and marks the process disposable so
-    ``crash``-mode failpoints hard-exit it — producing the real
-    ``BrokenProcessPool`` the runner's respawn/degrade path handles.
-    """
-    failpoints.configure_failpoints(points, seed=seed)
-    failpoints.mark_worker_process()
-
-
-def _evaluate_chunk(batch) -> list[DesignMetrics]:
-    """Pool task: one chunk of jobs, each behind the worker failpoint.
-
-    ``batch`` is ``(jobs, tokens, attempt)``; the ``pool.worker``
-    failpoint draws on ``(token, attempt)`` — pure values, so the fault
-    schedule is independent of chunking, worker count and which worker
-    the chunk lands on, and a retried chunk (``attempt`` bumped by the
-    parent) draws fresh.
-    """
-    jobs, tokens, attempt = batch
-    results = []
-    for job, token in zip(jobs, tokens):
-        failpoints.inject("pool.worker", token, attempt)
-        results.append(evaluate_design_job(job))
-    return results
-
-
-def _run_scalar_pool(
-    scalar_jobs: list[DesignJob],
-    workers: int,
-    chunksize: int,
-    policy: RetryPolicy,
-    deadline: Deadline,
-) -> list[DesignMetrics]:
-    """Futures-based pool execution with retry, respawn and degrade.
-
-    Replaces the old bare ``pool.map``: each chunk is a future whose
-    transient failures (injected or real ``OSError``, worker crashes)
-    retry per ``policy`` with deterministic backoff; a broken pool is
-    respawned once, and a second break degrades the remaining chunks to
-    in-process scalar execution (which runs no worker failpoints — the
-    degraded path is the recovery of last resort).  ``deadline`` bounds
-    the whole batch; expiry raises
-    :class:`~repro.errors.EvaluationTimeoutError`.
-    """
-    armed = failpoints.is_armed()
-    tokens = job_keys(scalar_jobs) if armed else [0] * len(scalar_jobs)
-    chunks = [
-        (
-            tuple(scalar_jobs[start : start + chunksize]),
-            tuple(tokens[start : start + chunksize]),
-        )
-        for start in range(0, len(scalar_jobs), chunksize)
-    ]
-    chunk_results: list[list[DesignMetrics] | None] = [None] * len(chunks)
-    attempts = [1] * len(chunks)
-    todo = set(range(len(chunks)))
-
-    def spawn() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_pool_worker_init,
-            initargs=(failpoints.active_failpoints(), failpoints.active_seed()),
-        )
-
-    pool = spawn()
-    respawns_left = 1
-    try:
-        while todo:
-            broken = False
-            try:
-                futures = {
-                    chunk_id: pool.submit(
-                        _evaluate_chunk,
-                        (
-                            chunks[chunk_id][0],
-                            chunks[chunk_id][1],
-                            attempts[chunk_id],
-                        ),
-                    )
-                    for chunk_id in sorted(todo)
-                }
-                for chunk_id in sorted(futures):
-                    try:
-                        chunk_results[chunk_id] = futures[chunk_id].result(
-                            timeout=deadline.remaining()
-                        )
-                        todo.discard(chunk_id)
-                    except EvaluationTimeoutError:
-                        raise
-                    except BrokenProcessPool:
-                        broken = True
-                        break
-                    except TimeoutError as exc:
-                        raise EvaluationTimeoutError(
-                            "run_design_jobs exceeded its timeout budget "
-                            f"with {len(todo)} of {len(chunks)} chunks pending"
-                        ) from exc
-                    except Exception as exc:
-                        if (
-                            is_retryable(exc)
-                            and attempts[chunk_id] < policy.max_attempts
-                        ):
-                            policy.sleeper(policy.delay_for(attempts[chunk_id]))
-                            attempts[chunk_id] += 1
-                        else:
-                            raise
-            except BrokenProcessPool:
-                broken = True
-            if broken:
-                pool.shutdown(wait=False, cancel_futures=True)
-                # Every surviving chunk draws fresh on the next round —
-                # under a high crash rate the respawned pool may break
-                # again, and the degraded path below must still
-                # terminate with correct results.
-                for chunk_id in todo:
-                    attempts[chunk_id] += 1
-                if respawns_left > 0:
-                    respawns_left -= 1
-                    pool = spawn()
-                else:
-                    for chunk_id in sorted(todo):
-                        deadline.check("run_design_jobs (degraded in-process)")
-                        chunk_results[chunk_id] = [
-                            evaluate_design_job(job)
-                            for job in chunks[chunk_id][0]
-                        ]
-                    todo.clear()
-        # Clean exit: join the workers so no teardown (worker exits,
-        # feeder/management threads) leaks past the call and competes
-        # with whatever the caller times or runs next.
-        pool.shutdown(wait=True)
-    finally:
-        # Exceptional exit (timeout, exhausted retries): don't block on
-        # workers that may still be mid-chunk — cancel and detach.
-        pool.shutdown(wait=False, cancel_futures=True)
-    evaluated: list[DesignMetrics] = []
-    for piece in chunk_results:
-        evaluated.extend(piece)  # type: ignore[arg-type]
-    return evaluated
-
 
 #: Payload class expected under each cache kind.
 _KIND_PAYLOADS: dict[str, type] = {
@@ -702,332 +492,286 @@ def relabelled(value, layer_name: str):
     return replace(value, layer=layer_name)
 
 
-class SweepCache:
-    """On-disk result store, one pickle per ``(job key, kind)``.
-
-    This is the original (pre-packed-store) layout, kept as a
-    compatibility shim: the default path-to-store coercion now builds a
-    :class:`~repro.eval.store.PackedSweepStore`, which reads/migrates
-    directories written in this format in place.  Holds analytic
-    :class:`DesignMetrics` (``kind="metrics"``, the default) and
-    cycle-level :class:`CycleStats` (``kind="cycles"``) side by side in
-    one directory.  Safe for concurrent writers (atomic replace);
-    tracks hit/miss/store/corrupt statistics for tests and benchmark
-    reporting, and speaks the same batch protocol
-    (:meth:`get_many`/:meth:`put_many`) as the packed store so
-    :func:`run_design_jobs` never issues per-job cache calls.
-    """
-
-    def __init__(self, directory: str | os.PathLike) -> None:
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.corrupt = 0
-
-    def path_for(
-        self, job: DesignJob, kind: str = METRICS_KIND, *, key: str | None = None
-    ) -> Path:
-        """Cache file backing a job under one payload kind.
-
-        ``key`` short-circuits the SHA-256 walk when the caller already
-        holds the job's :func:`job_key` (it must be the key for this
-        exact ``(job, kind)`` pair).
-        """
-        return self.directory / f"{key or job_key(job, kind)}.pkl"
-
-    def get_many(self, keys: Sequence[str], kind: str = METRICS_KIND) -> list:
-        """Stored payloads per key, in key order (``None`` per miss).
-
-        Payloads come back exactly as stored — relabelling to the
-        requesting job is the caller's concern (:func:`relabelled`).  A
-        truncated, corrupt, or shape-skewed entry (e.g. pickled before
-        a payload field change) counts as a miss, increments
-        :attr:`corrupt` and is unlinked so the slot is rewritten with
-        the current schema.
-        """
-        expected = _KIND_PAYLOADS[kind]
-        results: list = [None] * len(keys)
-        for index, key in enumerate(keys):
-            path = self.directory / f"{key}.pkl"
-            try:
-                payload = path.read_bytes()
-            except FileNotFoundError:
-                self.misses += 1
-                continue
-            try:
-                value = pickle.loads(payload)
-            except _DECODE_ERRORS:
-                self._discard_corrupt(path)
-                continue
-            if not isinstance(value, expected):
-                self._discard_corrupt(path)
-                continue
-            self.hits += 1
-            results[index] = value
-        return results
-
-    def put_many(
-        self, entries: Iterable[tuple[str, object]], kind: str = METRICS_KIND
-    ) -> int:
-        """Store ``(key, payload)`` pairs; returns the number written.
-
-        Each entry is still one atomic ``os.replace`` in this legacy
-        layout — the packed store is the one-publish-per-batch tier.
-        """
-        count = 0
-        for key, value in entries:
-            self._write(key, value, kind)
-            count += 1
-        return count
-
-    def get(self, job: DesignJob, kind: str = METRICS_KIND, *, key: str | None = None):
-        """Cached payload for a job, relabelled to the job's layer name."""
-        value = self.get_many([key or job_key(job, kind)], kind)[0]
-        if value is None:
-            return None
-        return relabelled(value, job.layer_name)
-
-    def put(
-        self, job: DesignJob, value, kind: str = METRICS_KIND, *, key: str | None = None
-    ) -> None:
-        """Store a result atomically under the job's key."""
-        self._write(key or job_key(job, kind), value, kind)
-
-    def _discard_corrupt(self, path: Path) -> None:
-        """Count a bad entry and quarantine it so the slot is rewritten.
-
-        The corrupt bytes move into ``quarantine/`` (out of the lookup
-        namespace but preserved for post-mortems) rather than being
-        destroyed; if even the move fails the entry is unlinked so a
-        poisoned slot can never wedge the cache.
-        """
-        self.corrupt += 1
-        self.misses += 1
-        quarantine = self.directory / "quarantine"
-        try:
-            quarantine.mkdir(exist_ok=True)
-            os.replace(path, quarantine / path.name)
-        except OSError:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-
-    def _write(self, key: str, value, kind: str) -> None:
-        expected = _KIND_PAYLOADS[kind]
-        if not isinstance(value, expected):
-            raise TypeError(
-                f"cache kind {kind!r} stores {expected.__name__}, "
-                f"got {type(value).__name__}"
-            )
-        path = self.directory / f"{key}.pkl"
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self.stores += 1
-
-
-def _coerce_cache(
-    cache: "SweepCache | PackedSweepStore | str | os.PathLike | None",
-):
+def _coerce_cache(cache: "PackedSweepStore | str | os.PathLike | None"):
     """Any accepted ``cache`` argument as a batch-protocol store.
 
     ``None`` and ready-made stores (anything speaking
-    ``get_many``/``put_many`` — :class:`SweepCache`,
-    :class:`~repro.eval.store.PackedSweepStore`, test doubles) pass
-    through; a directory path constructs the packed store, migrating
-    any legacy directory-of-pickles content it finds there.
+    ``get_many``/``put_many`` — :class:`~repro.eval.store.PackedSweepStore`
+    or a test double) pass through; a directory path constructs the
+    packed store.
     """
-    if cache is None:
-        return None
-    if hasattr(cache, "get_many") and hasattr(cache, "put_many"):
+    if cache is None or hasattr(cache, "get_many"):
         return cache
     from repro.eval.store import PackedSweepStore
 
     return PackedSweepStore(os.path.expanduser(os.fspath(cache)))
 
 
+# ----------------------------------------------------------------------
+# The pipeline and its per-kind specs
+# ----------------------------------------------------------------------
+def _design_tokens(jobs: Sequence[DesignJob]) -> list[tuple]:
+    """In-memory grouping tokens with the partition :func:`job_keys` has.
+
+    Registry lookups are memoized per design string and technologies
+    become small ints (:class:`TechTokens`); the fold carries its type
+    so value-equal-but-distinct folds (2 vs 2.0) stay apart exactly
+    like job_key's repr keeps them — an invalid fold must reach its own
+    evaluation and raise rather than borrow a valid twin's result.
+    """
+    tech_tokens = TechTokens()
+    design_info: dict[str, tuple[str, bool]] = {}
+    tokens = []
+    for job in jobs:
+        info = design_info.get(job.design)
+        if info is None:
+            entry = get_design(job.design)
+            info = design_info[job.design] = (entry.name, entry.accepts_fold)
+        canonical, accepts_fold = info
+        fold = ("auto" if job.fold is None else job.fold) if accepts_fold else None
+        tokens.append(
+            (canonical, fold.__class__, fold, job.spec, tech_tokens.token(job.tech))
+        )
+    return tokens
+
+
+def _fidelity_tokens(jobs: Sequence[FidelityJob]) -> list[tuple]:
+    """``(design, spec, tech, scenario..., seed, time_s)`` value tokens.
+
+    Everything but the trailing ``(seed, time_s)`` pair names the
+    scenario group one profile derivation and one sampler call serve.
+    """
+    tech_tokens = TechTokens()
+    canonical: dict[str, str] = {}
+    tokens = []
+    for job in jobs:
+        name = canonical.get(job.design)
+        if name is None:
+            name = canonical[job.design] = resolve_design(job.design)
+        tokens.append(
+            (
+                name,
+                job.spec,
+                tech_tokens.token(job.tech),
+                job.nu,
+                job.programming_sigma,
+                job.read_noise_sigma,
+                job.stuck_at_rate,
+                job.adc_bits,
+                job.max_rows,
+                job.max_cols,
+                job.seed,
+                job.time_s,
+            )
+        )
+    return tokens
+
+
+def _evaluate_metrics(jobs: list[DesignJob], deadline: Deadline) -> list:
+    """Unique analytic misses: the vectorized plane, else inline scalar."""
+    batchable = {
+        name: get_design(name).perf_batch is not None
+        for name in {job.design for job in jobs}
+    }
+    computed: list = [None] * len(jobs)
+    positions = [p for p, job in enumerate(jobs) if batchable[job.design]]
+    if positions:
+        from repro.eval.vectorized import evaluate_design_jobs_batch
+
+        deadline.check("run_design_jobs (vectorized batch)")
+        batched = evaluate_design_jobs_batch([jobs[p] for p in positions])
+        for position, metrics in zip(positions, batched):
+            computed[position] = metrics
+    for position, job in enumerate(jobs):
+        if computed[position] is None:
+            deadline.check("run_design_jobs (scalar inline)")
+            computed[position] = evaluate_design_job(job)
+    return computed
+
+
+def _evaluate_cycles(
+    jobs: list[DesignJob],
+    deadline: Deadline,
+    *,
+    max_sub_crossbars: int,
+    dtype: str,
+) -> list[CycleStats]:
+    """Unique trace misses as one fused :class:`BatchEngine` batch."""
+    from repro.sim.batch import BatchEngine, BatchJob
+
+    engine = BatchEngine(max_sub_crossbars=max_sub_crossbars, dtype=dtype)
+    deadline.check("run_cycle_jobs (batch engine)")
+    batch = engine.run(
+        [
+            BatchJob(
+                spec=job.spec,
+                fold="auto" if job.fold is None else job.fold,
+                label=job.layer_name,
+            )
+            for job in jobs
+        ]
+    )
+    return [
+        CycleStats(
+            design=resolve_design(job.design),
+            layer=job.layer_name,
+            fold=job_result.fold,
+            cycles=job_result.cycles,
+            counters=tuple(sorted(job_result.counters.items())),
+        )
+        for job, job_result in zip(jobs, batch.results)
+    ]
+
+
+def _evaluate_fidelity(jobs: list[FidelityJob], deadline: Deadline) -> list:
+    """Unique fidelity misses, one sampler call per scenario group.
+
+    Value-equal points inside a group (``time_s=1`` vs ``1.0`` — distinct
+    keys, one draw) compute once.
+    """
+    from repro.reram.batch import profile_for_design, sample_fidelity_grid
+
+    groups: dict[tuple, dict[tuple, list[int]]] = {}
+    for position, token in enumerate(_fidelity_tokens(jobs)):
+        groups.setdefault(token[:-2], {}).setdefault(token[-2:], []).append(position)
+    computed: list = [None] * len(jobs)
+    for points in groups.values():
+        deadline.check("run_fidelity_jobs (scenario group)")
+        first = jobs[next(iter(points.values()))[0]]
+        profile = profile_for_design(
+            first.design,
+            first.spec,
+            first.tech,
+            adc_bits=first.adc_bits,
+            max_rows=first.max_rows,
+            max_cols=first.max_cols,
+        )
+        stats = sample_fidelity_grid(
+            profile,
+            list(points),
+            nu=first.nu,
+            programming_sigma=first.programming_sigma,
+            read_noise_sigma=first.read_noise_sigma,
+            stuck_at_rate=first.stuck_at_rate,
+        )
+        for positions, stat in zip(points.values(), stats):
+            for position in positions:
+                computed[position] = stat
+    return computed
+
+
+@dataclass(frozen=True)
+class _KindSpec:
+    """What the pipeline needs to know about one result kind.
+
+    ``keys`` and ``tokens`` map a work list to its store keys and to
+    in-memory grouping tokens (the same partition); ``evaluate`` maps
+    the unique misses to payloads, in order.
+    """
+
+    kind: str
+    keys: Callable[[list], list[str]]
+    tokens: Callable[[list], list]
+    evaluate: Callable[..., list]
+
+
+# The key functions are wrapped, not stored, so the module attributes
+# are looked up at call time (instrumentation that wraps them sees every
+# call).
+_METRICS = _KindSpec(
+    METRICS_KIND, lambda jobs: job_keys(jobs), _design_tokens, _evaluate_metrics
+)
+_CYCLES = _KindSpec(
+    CYCLES_KIND,
+    lambda jobs: job_keys(jobs, CYCLES_KIND),
+    _design_tokens,
+    _evaluate_cycles,
+)
+_FIDELITY = _KindSpec(
+    FIDELITY_KIND,
+    lambda jobs: fidelity_job_keys(jobs),
+    _fidelity_tokens,
+    _evaluate_fidelity,
+)
+
+
+def _run_pipeline(
+    spec: _KindSpec,
+    jobs: list,
+    cache,
+    timeout: float | None,
+    retry_policy: RetryPolicy | None,
+    **options,
+) -> list:
+    """Probe, dedupe, evaluate, publish and fan out one work list.
+
+    ``timeout`` bounds the evaluation (checked at batch boundaries;
+    :class:`~repro.errors.EvaluationTimeoutError` on expiry) and
+    ``retry_policy`` retries a transient evaluation failure — the store
+    applies its own publish retry/degrade discipline internally.
+    ``options`` are forwarded to the kind's evaluator.
+    """
+    deadline = Deadline(timeout)
+    policy = retry_policy or DEFAULT_RETRY_POLICY
+    store = _coerce_cache(cache)
+    results: list = [None] * len(jobs)
+    if not jobs:
+        return results
+    groups: dict[object, list[int]] = {}
+    if store is None:
+        for index, token in enumerate(spec.tokens(jobs)):
+            groups.setdefault(token, []).append(index)
+    else:
+        keys = spec.keys(jobs)
+        for index, value in enumerate(store.get_many(keys, kind=spec.kind)):
+            if value is None:
+                groups.setdefault(keys[index], []).append(index)
+            else:
+                results[index] = relabelled(value, jobs[index].layer_name)
+    if not groups:
+        return results
+    unique = [jobs[indices[0]] for indices in groups.values()]
+    computed = policy.call(lambda: spec.evaluate(unique, deadline, **options))
+    if store is not None:
+        store.put_many(list(zip(groups, computed)), kind=spec.kind)
+    for indices, value in zip(groups.values(), computed):
+        for index in indices:
+            results[index] = relabelled(value, jobs[index].layer_name)
+    return results
+
+
 def run_design_jobs(
     jobs: list[DesignJob] | tuple[DesignJob, ...],
-    num_workers: int = 1,
-    cache: "SweepCache | PackedSweepStore | str | os.PathLike | None" = None,
-    chunk_size: int | None = None,
-    vectorized: bool = True,
+    cache: "PackedSweepStore | str | os.PathLike | None" = None,
     timeout: float | None = None,
     retry_policy: RetryPolicy | None = None,
 ) -> list[DesignMetrics]:
-    """Evaluate every job, in order, optionally cached and in parallel.
+    """Evaluate every job, in order, optionally through a store.
 
     Args:
         jobs: the flat work list.
-        num_workers: worker-process budget for *scalar-path* misses
-            (``<= 1`` runs them inline — no pool, no pickling); the
-            pool is capped at the number of unique scalar misses so
-            small miss sets never spawn idle workers.  The vectorized
-            plane always runs in-process regardless of this value.
-        cache: a :class:`~repro.eval.store.PackedSweepStore`, a legacy
-            :class:`SweepCache`, a directory path (constructs the
-            packed store, migrating legacy content), or ``None``.
-        chunk_size: jobs per pool task — amortizes pickling overhead.
-            Default (``None``) splits the scalar misses evenly over the
-            workers so small sweeps still use every worker.
-        vectorized: route misses whose design registered a
-            ``perf_batch`` hook through the struct-of-arrays analytic
-            plane (:mod:`repro.eval.vectorized`), batched per
-            (design, tech).  ``False`` forces the scalar per-job path
-            for everything — the bit-identical oracle the plane is
-            property-tested against.
+        cache: a :class:`~repro.eval.store.PackedSweepStore`, a
+            directory path (constructs the packed store), or ``None``.
         timeout: per-batch wall-clock budget in seconds (``None`` = no
             budget); expiry raises
             :class:`~repro.errors.EvaluationTimeoutError`.
-        retry_policy: how transient scalar-path failures (real or
-            injected ``OSError``, worker crashes) retry; defaults to
-            :data:`DEFAULT_RETRY_POLICY`.  A broken pool additionally
-            respawns once, then degrades the remaining work to
-            in-process execution.
+        retry_policy: how a transient evaluation failure retries;
+            defaults to :data:`DEFAULT_RETRY_POLICY`.
 
     Returns:
         ``DesignMetrics`` in the same order as ``jobs``, independent of
-        route, worker count and cache state.  Jobs sharing a
-        :func:`job_key` (identical shape/tech, labels aside) are
-        evaluated once and the result fanned out relabelled.  The cache
-        is touched exactly twice per call — one batched probe
-        (:func:`job_keys` + ``get_many``) and one batched publish
-        (``put_many``) — never per job.
+        store state.  Jobs sharing a :func:`job_key` (identical
+        shape/tech, labels aside) are evaluated once and the result
+        fanned out relabelled.  Misses run through the vectorized plane
+        (:mod:`repro.eval.vectorized`); designs without a ``perf_batch``
+        hook run inline through :func:`evaluate_design_job`.
     """
-    jobs = list(jobs)
-    if num_workers < 1:
-        raise ParameterError(f"num_workers must be >= 1, got {num_workers}")
-    if chunk_size is not None and chunk_size < 1:
-        raise ParameterError(f"chunk_size must be >= 1, got {chunk_size}")
-    deadline = Deadline(timeout)
-    policy = retry_policy or DEFAULT_RETRY_POLICY
-    cache = _coerce_cache(cache)
-    results: list[DesignMetrics | None] = [None] * len(jobs)
-    pending: list[int] = []
-    pending_keys: dict[int, str] = {}
-    if cache is not None:
-        # One batched probe: every key in one job_keys pass (memoized
-        # head/tech segments, struct-of-arrays specs), every lookup in
-        # one get_many.  Miss keys are reused for grouping and for the
-        # batched publish below.
-        keys = job_keys(jobs)
-        for index, value in enumerate(cache.get_many(keys)):
-            if value is None:
-                pending_keys[index] = keys[index]
-                pending.append(index)
-            else:
-                results[index] = relabelled(value, jobs[index].layer_name)
-    else:
-        pending = list(range(len(jobs)))
-    if pending:
-        # Identical (design, fold, spec, tech) jobs are computed once and
-        # fanned out (relabelled per requesting job), cold cache or not.
-        # With a cache attached the grouping key is the on-disk job_key;
-        # without one, an in-memory value tuple over the same canonical
-        # fields avoids the SHA-256 walk on the hot path (the two keys
-        # induce the same partition of the work list).
-        groups: dict[object, list[int]] = {}
-        if cache is not None:
-            for index in pending:
-                groups.setdefault(pending_keys[index], []).append(index)
-        else:
-            # Registry lookups are memoized per design string; the fold
-            # key carries its type so value-equal-but-distinct folds
-            # (2 vs 2.0) partition exactly like job_key's repr does —
-            # an invalid fold must reach its own evaluation and raise
-            # rather than borrow a valid twin's result.
-            tech_tokens = TechTokens()
-            design_info: dict[str, tuple[str, bool]] = {}
-            for index in pending:
-                job = jobs[index]
-                info = design_info.get(job.design)
-                if info is None:
-                    entry = get_design(job.design)
-                    info = (entry.name, entry.accepts_fold)
-                    design_info[job.design] = info
-                canonical, accepts_fold = info
-                fold = (
-                    ("auto" if job.fold is None else job.fold)
-                    if accepts_fold
-                    else None
-                )
-                groups.setdefault(
-                    (canonical, fold.__class__, fold, job.spec,
-                     tech_tokens.token(job.tech)),
-                    [],
-                ).append(index)
-        unique_jobs = [jobs[indices[0]] for indices in groups.values()]
-        computed: list[DesignMetrics | None] = [None] * len(unique_jobs)
-        if vectorized:
-            batchable = {
-                name: get_design(name).perf_batch is not None
-                for name in {j.design for j in unique_jobs}
-            }
-            batch_positions = [
-                position
-                for position, job in enumerate(unique_jobs)
-                if batchable[job.design]
-            ]
-        else:
-            batch_positions = []
-        if batch_positions:
-            from repro.eval.vectorized import evaluate_design_jobs_batch
-
-            deadline.check("run_design_jobs (vectorized batch)")
-            batched = evaluate_design_jobs_batch(
-                [unique_jobs[position] for position in batch_positions]
-            )
-            for position, metrics in zip(batch_positions, batched):
-                computed[position] = metrics
-        scalar_positions = [
-            position
-            for position in range(len(unique_jobs))
-            if computed[position] is None
-        ]
-        if scalar_positions:
-            scalar_jobs = [unique_jobs[position] for position in scalar_positions]
-            workers = min(num_workers, len(scalar_jobs))
-            if workers == 1:
-                evaluated = []
-                for job in scalar_jobs:
-                    deadline.check("run_design_jobs (scalar inline)")
-                    evaluated.append(evaluate_design_job(job))
-            else:
-                chunksize = chunk_size or max(1, -(-len(scalar_jobs) // workers))
-                evaluated = _run_scalar_pool(
-                    scalar_jobs, workers, chunksize, policy, deadline
-                )
-            for position, metrics in zip(scalar_positions, evaluated):
-                computed[position] = metrics
-        if cache is not None:
-            # One batched publish: a single put_many (one atomic index
-            # publish on the packed store) instead of one write per job.
-            cache.put_many(
-                [
-                    (group_key, metrics)
-                    for group_key, metrics in zip(groups, computed)
-                ]
-            )
-        for indices, metrics in zip(groups.values(), computed):
-            for index in indices:
-                results[index] = relabelled(metrics, jobs[index].layer_name)
-    return results  # type: ignore[return-value]
+    return _run_pipeline(_METRICS, list(jobs), cache, timeout, retry_policy)
 
 
 def run_cycle_jobs(
     jobs: list[DesignJob] | tuple[DesignJob, ...],
-    cache: "SweepCache | PackedSweepStore | str | os.PathLike | None" = None,
+    cache: "PackedSweepStore | str | os.PathLike | None" = None,
     max_sub_crossbars: int = 128,
     dtype: str = "float64",
     timeout: float | None = None,
@@ -1038,97 +782,38 @@ def run_cycle_jobs(
     Runs every trace-capable job (``supports_trace`` in its registry
     entry — RED) through the :class:`~repro.sim.batch.BatchEngine` and
     returns :class:`CycleStats` per job, in job order; jobs whose design
-    has no cycle engine yield ``None``.  All cache misses execute as one
+    has no cycle engine yield ``None``.  All misses execute as one
     fused batch — jobs sharing a ``(spec, fold)`` pair run stacked over
     a single analytically compiled schedule — and ``dtype="float32"``
     opts throughput-bound sweeps into single-precision execution (the
     persisted :class:`CycleStats` are operand-independent either way).
-    Results persist in the same store as the analytic metrics, under
-    the ``"cycles"`` kind, so repeated traced evaluations are
-    near-free.  Like :func:`run_design_jobs`, the store is touched
-    once to probe and once to publish — each job's key is computed
-    exactly once (:func:`job_keys`) and threaded from the probe through
-    grouping to the publish.  ``timeout`` bounds the batch
-    (:class:`~repro.errors.EvaluationTimeoutError` on expiry, checked
-    at the batch boundaries) and ``retry_policy`` retries a transient
-    engine failure — the store applies its own publish retry/degrade
-    discipline internally.
+    Results persist under the ``"cycles"`` kind, so repeated traced
+    evaluations are near-free.
     """
     jobs = list(jobs)
-    deadline = Deadline(timeout)
-    policy = retry_policy or DEFAULT_RETRY_POLICY
-    cache = _coerce_cache(cache)
-    results: list[CycleStats | None] = [None] * len(jobs)
     traceable = [
         index
         for index, job in enumerate(jobs)
         if get_design(job.design).supports_trace
     ]
-    keys: dict[int, str] = {}
-    if traceable:
-        keys = dict(
-            zip(
-                traceable,
-                job_keys([jobs[index] for index in traceable], kind=CYCLES_KIND),
-            )
-        )
-    pending: list[int] = []
-    if cache is not None and traceable:
-        values = cache.get_many(
-            [keys[index] for index in traceable], kind=CYCLES_KIND
-        )
-        for index, value in zip(traceable, values):
-            if value is None:
-                pending.append(index)
-            else:
-                results[index] = relabelled(value, jobs[index].layer_name)
-    else:
-        pending = traceable
-    if pending:
-        from repro.sim.batch import BatchEngine, BatchJob
-
-        groups: dict[str, list[int]] = {}
-        for index in pending:
-            groups.setdefault(keys[index], []).append(index)
-        unique_jobs = [jobs[indices[0]] for indices in groups.values()]
-        engine = BatchEngine(max_sub_crossbars=max_sub_crossbars, dtype=dtype)
-        deadline.check("run_cycle_jobs (batch engine)")
-        batch_jobs = [
-            BatchJob(
-                spec=job.spec,
-                fold="auto" if job.fold is None else job.fold,
-                label=job.layer_name,
-            )
-            for job in unique_jobs
-        ]
-        batch = policy.call(lambda: engine.run(batch_jobs))
-        computed = [
-            CycleStats(
-                design=resolve_design(job.design),
-                layer=job.layer_name,
-                fold=job_result.fold,
-                cycles=job_result.cycles,
-                counters=tuple(sorted(job_result.counters.items())),
-            )
-            for job, job_result in zip(unique_jobs, batch.results)
-        ]
-        if cache is not None:
-            cache.put_many(
-                [
-                    (group_key, stats)
-                    for group_key, stats in zip(groups, computed)
-                ],
-                kind=CYCLES_KIND,
-            )
-        for indices, stats in zip(groups.values(), computed):
-            for index in indices:
-                results[index] = relabelled(stats, jobs[index].layer_name)
+    stats = _run_pipeline(
+        _CYCLES,
+        [jobs[index] for index in traceable],
+        cache,
+        timeout,
+        retry_policy,
+        max_sub_crossbars=max_sub_crossbars,
+        dtype=dtype,
+    )
+    results: list[CycleStats | None] = [None] * len(jobs)
+    for index, value in zip(traceable, stats):
+        results[index] = value
     return results
 
 
 def run_fidelity_jobs(
     jobs: list[FidelityJob] | tuple[FidelityJob, ...],
-    cache: "SweepCache | PackedSweepStore | str | os.PathLike | None" = None,
+    cache: "PackedSweepStore | str | os.PathLike | None" = None,
     timeout: float | None = None,
     retry_policy: RetryPolicy | None = None,
 ) -> list[FidelityStats]:
@@ -1143,91 +828,8 @@ def run_fidelity_jobs(
     bit-identical to the scalar per-point oracle
     (:func:`repro.reram.batch.fidelity_point`) and invariant to job
     order and sharding, because every RNG stream is keyed by values,
-    never by batch position (``tests/reram/test_batch.py``).
-
-    Results persist under the ``"fidelity"`` cache kind with the same
-    batched probe/publish discipline as the other runners: the store is
-    touched at most twice, and each job's :func:`fidelity_job_key` is
-    computed exactly once.  Returns :class:`FidelityStats` in job order.
-    ``timeout`` bounds the batch (checked per scenario group —
-    :class:`~repro.errors.EvaluationTimeoutError` on expiry) and
-    ``retry_policy`` retries a transient group-sampling failure.
+    never by batch position (``tests/reram/test_batch.py``).  Results
+    persist under the ``"fidelity"`` kind; returns
+    :class:`FidelityStats` in job order.
     """
-    jobs = list(jobs)
-    deadline = Deadline(timeout)
-    policy = retry_policy or DEFAULT_RETRY_POLICY
-    cache = _coerce_cache(cache)
-    results: list[FidelityStats | None] = [None] * len(jobs)
-    keys: list[str] = []
-    pending: list[int] = []
-    if cache is not None:
-        keys = fidelity_job_keys(jobs)
-        for index, value in enumerate(cache.get_many(keys, kind=FIDELITY_KIND)):
-            if value is None:
-                pending.append(index)
-            else:
-                results[index] = relabelled(value, jobs[index].layer_name)
-    else:
-        pending = list(range(len(jobs)))
-    if pending:
-        from repro.reram.batch import profile_for_design, sample_fidelity_grid
-
-        tech_tokens = TechTokens()
-        canonical: dict[str, str] = {}
-        # Scenario groups: one profile derivation and one batched
-        # sampler call per (design, spec, tech, scenario); identical
-        # (seed, time) points inside a group compute once and fan out.
-        groups: dict[tuple, dict[tuple, list[int]]] = {}
-        for index in pending:
-            job = jobs[index]
-            name = canonical.get(job.design)
-            if name is None:
-                name = canonical[job.design] = resolve_design(job.design)
-            token = (
-                name,
-                job.spec,
-                tech_tokens.token(job.tech),
-                job.nu,
-                job.programming_sigma,
-                job.read_noise_sigma,
-                job.stuck_at_rate,
-                job.adc_bits,
-                job.max_rows,
-                job.max_cols,
-            )
-            groups.setdefault(token, {}).setdefault(
-                (job.seed, job.time_s), []
-            ).append(index)
-        published: dict[str, FidelityStats] = {}
-        for points in groups.values():
-            deadline.check("run_fidelity_jobs (scenario group)")
-            first = jobs[next(iter(points.values()))[0]]
-
-            def sample_group(first=first, points=points):
-                profile = profile_for_design(
-                    first.design,
-                    first.spec,
-                    first.tech,
-                    adc_bits=first.adc_bits,
-                    max_rows=first.max_rows,
-                    max_cols=first.max_cols,
-                )
-                return sample_fidelity_grid(
-                    profile,
-                    list(points),
-                    nu=first.nu,
-                    programming_sigma=first.programming_sigma,
-                    read_noise_sigma=first.read_noise_sigma,
-                    stuck_at_rate=first.stuck_at_rate,
-                )
-
-            point_list = list(points)
-            stats = policy.call(sample_group)
-            for point, stat in zip(point_list, stats):
-                for index in points[point]:
-                    results[index] = relabelled(stat, jobs[index].layer_name)
-                    if cache is not None:
-                        published.setdefault(keys[index], stat)
-        if cache is not None and published:
-            cache.put_many(published.items(), kind=FIDELITY_KIND)
-    return results  # type: ignore[return-value]
+    return _run_pipeline(_FIDELITY, list(jobs), cache, timeout, retry_policy)

@@ -2,13 +2,12 @@
 
 Why the cache needed its own engineering pass
 ---------------------------------------------
-Once the cold analytic plane went vectorized (PR 4, ~tens of thousands
-of jobs per second), the original directory-of-pickles
-:class:`~repro.eval.parallel.SweepCache` became the warm-path
-bottleneck: every hit paid one ``open``/``read`` syscall pair, one
-``pickle.loads`` and one dataclass relabel, and every store paid one
-``os.replace``.  This module is the storage tier rebuilt for batch
-traffic:
+Once the cold analytic plane went vectorized (~tens of thousands of
+jobs per second), a directory of one pickle per entry became the
+warm-path bottleneck: every hit paid one ``open``/``read`` syscall
+pair, one ``pickle.loads`` and one dataclass relabel, and every store
+paid one ``os.replace``.  This module is the storage tier built for
+batch traffic:
 
 - **Sharded append-only segments.**  ``put_many`` groups its entries by
   key shard and appends each shard's records to one new immutable
@@ -31,11 +30,6 @@ traffic:
   in an :class:`~collections.OrderedDict` capped at ``memory_entries``,
   so a repeated sweep never touches disk twice; ``memory_entries=0``
   disables the tier for pure disk measurements.
-- **Legacy migration.**  Opening a directory that contains
-  ``<hex key>.pkl`` files written by the legacy
-  :class:`~repro.eval.parallel.SweepCache` imports them (raw bytes, so
-  reads stay byte-identical) into the packed layout once; the legacy
-  files are left in place for older readers.
 
 The layout is deliberately batch-oriented: each publish rewrites the
 (compact, 48-bytes-per-entry) index and appends new segment files, so
@@ -46,10 +40,9 @@ future work (see ROADMAP).
 
 The store is key-addressed and payload-kind aware but job-agnostic at
 the batch layer: :func:`~repro.eval.parallel.job_keys` produces the
-keys, :func:`~repro.eval.parallel.run_design_jobs` /
-:func:`~repro.eval.parallel.run_cycle_jobs` drive ``get_many`` /
-``put_many`` exactly once per call.  Job-level ``get``/``put``
-conveniences mirror the legacy API for tests and interactive use.
+keys, and the runners of :mod:`repro.eval.parallel` drive
+``get_many`` / ``put_many`` at most once each per call.  Job-level
+``get``/``put`` conveniences serve tests and interactive use.
 """
 
 from __future__ import annotations
@@ -108,9 +101,7 @@ class PackedSweepStore:
     """Batched on-disk sweep result store with an in-memory hit tier.
 
     Args:
-        directory: store root; created if missing.  Legacy
-            directory-of-pickles content found there is migrated into
-            the packed layout on open.
+        directory: store root; created if missing.
         num_shards: how many logical shards ``put_many`` splits a batch
             over (one segment file per touched shard per batch).
         memory_entries: LRU hit-tier capacity in entries (``0``
@@ -127,8 +118,7 @@ class PackedSweepStore:
             directory recovers.
 
     Statistics (``hits = memory_hits + disk_hits``, plus ``misses``,
-    ``stores``, ``corrupt`` and ``migrated``) are plain attributes,
-    mirroring :class:`~repro.eval.parallel.SweepCache`.
+    ``stores`` and ``corrupt``) are plain attributes.
     """
 
     def __init__(
@@ -154,7 +144,6 @@ class PackedSweepStore:
         self.misses = 0
         self.stores = 0
         self.corrupt = 0
-        self.migrated = 0
         self.memory_hits = 0
         self.disk_hits = 0
         self.quarantined = 0
@@ -176,10 +165,9 @@ class PackedSweepStore:
         self._dead: dict[bytes, tuple[int, int, int]] = {}
         with self._lock:
             self._reload_index_locked()
-        self._migrate_legacy()
 
     # ------------------------------------------------------------------
-    # Batch protocol (what run_design_jobs / run_cycle_jobs speak)
+    # Batch protocol (what the runners of repro.eval.parallel speak)
     # ------------------------------------------------------------------
     def get_many(self, keys: Sequence[str], kind: str = METRICS_KIND) -> list:
         """Stored payloads per key, in key order (``None`` per miss).
@@ -315,7 +303,7 @@ class PackedSweepStore:
         return len(cached)
 
     # ------------------------------------------------------------------
-    # Job-level compatibility API (mirrors the legacy SweepCache)
+    # Job-level convenience API
     # ------------------------------------------------------------------
     def get(
         self, job: DesignJob, kind: str = METRICS_KIND, *, key: str | None = None
@@ -363,7 +351,6 @@ class PackedSweepStore:
             "misses": self.misses,
             "stores": self.stores,
             "corrupt": self.corrupt,
-            "migrated": self.migrated,
             "quarantined": self.quarantined,
             "rebuilt_entries": self.rebuilt_entries,
             "degraded": int(self.degraded),
@@ -719,53 +706,3 @@ class PackedSweepStore:
         memory.move_to_end(key)
         while len(memory) > self.memory_entries:
             memory.popitem(last=False)
-
-    # ------------------------------------------------------------------
-    # Legacy directory-of-pickles migration
-    # ------------------------------------------------------------------
-    #: Entries per migration publish — bounds peak memory to one chunk
-    #: of legacy payload bytes however large the directory is.
-    _MIGRATION_CHUNK = 4096
-
-    def _migrate_legacy(self) -> None:
-        """Import ``<64-hex-key>.pkl`` files the legacy SweepCache wrote.
-
-        Raw file bytes are appended verbatim (no re-pickling), so a
-        migrated entry reads back byte-identical to the legacy path.
-        Keys already present in the packed index are skipped, making
-        repeated opens idempotent; the legacy files are left in place
-        for older readers, and large directories are imported in
-        bounded chunks (one publish per :attr:`_MIGRATION_CHUNK`
-        entries).  Note that entries written under an *older*
-        ``CACHE_SCHEMA_VERSION`` migrate but can no longer be looked up
-        — their keys embed the old schema tag, which is exactly how a
-        schema bump invalidates stale results.
-        """
-        if self.degraded:
-            return
-        imported: list[tuple[bytes, bytes]] = []
-        migrated = 0
-        for path in sorted(self.directory.glob("*.pkl")):
-            stem = path.stem
-            if len(stem) != 64:
-                continue
-            try:
-                raw = bytes.fromhex(stem)
-            except ValueError:
-                continue
-            with self._lock:
-                if raw in self._index:
-                    continue
-            try:
-                imported.append((raw, path.read_bytes()))
-            except OSError:  # pragma: no cover - racing unlink
-                continue
-            if len(imported) >= self._MIGRATION_CHUNK:
-                if not self._publish(imported):
-                    self.migrated = migrated
-                    return
-                migrated += len(imported)
-                imported = []
-        if imported and self._publish(imported):
-            migrated += len(imported)
-        self.migrated = migrated

@@ -7,7 +7,7 @@ registered ``perf_batch`` hook (:mod:`repro.api.registry`) for a
 :class:`~repro.arch.metrics_batch.PerfInputBatch` covering its group,
 and evaluates every group through
 :func:`~repro.arch.metrics_batch.evaluate_perf_batch` — no per-job
-design objects, no process pool, one set of NumPy array ops per group.
+design objects, one set of NumPy array ops per group.
 
 This is the default execution path for analytic cache misses inside
 :func:`repro.eval.parallel.run_design_jobs`; the scalar per-job walk

@@ -1,16 +1,18 @@
 """Process-wide deterministic failpoint registry.
 
 A *failpoint* is a named site in the substrate where a fault can be
-injected: ``pool.worker`` (a sweep worker job), ``store.put_many`` (a
-batch publish), ``store.index.publish`` (the index ``os.replace``),
-``store.get_many`` (a payload read).  Sites are armed with a spec
-string, either programmatically::
+injected: ``store.put_many`` (a batch publish), ``store.index.publish``
+(the index ``os.replace``), ``store.get_many`` (a payload read) and the
+serving plane's ``serving.accept`` / ``serving.shard_call`` /
+``serving.merge``.  Sites are armed with a spec string, either
+programmatically::
 
-    configure_failpoints("store.put_many:io_error@0.3;pool.worker:crash@0.1",
-                         seed=7)
+    configure_failpoints(
+        "store.put_many:io_error@0.3;serving.shard_call:crash@0.1", seed=7
+    )
 
 or through the environment (``RED_FAILPOINTS`` / ``RED_FAILPOINT_SEED``,
-read at import so forked *and* spawned pool workers arm themselves).
+read at import so child processes arm themselves).
 
 Determinism contract (PR 6, :mod:`repro.reram`)
 -----------------------------------------------
@@ -31,9 +33,9 @@ Modes
     (an ``OSError`` — the retry plane treats it as the transient it
     stands in for).
 ``crash``
-    In a marked pool worker process (:func:`mark_worker_process`, set by
-    the runner's pool initializer) the process hard-exits, producing a
-    real ``BrokenProcessPool`` in the parent.  Anywhere else it raises
+    In a marked worker process (:func:`mark_worker_process`, set by
+    each serving shard) the process hard-exits, a real death its
+    supervisor must detect and respawn.  Anywhere else it raises
     :class:`~repro.errors.WorkerCrashError` so tests never kill pytest.
 ``corrupt``
     :func:`corrupted` returns a deterministically bit-flipped copy of
@@ -71,7 +73,7 @@ CORRUPT = "corrupt"
 MODES = (IO_ERROR, CRASH, CORRUPT)
 
 #: Exit status a ``crash``-mode failpoint kills a marked worker with.
-#: Distinctive on purpose: a pool that died with this status died by
+#: Distinctive on purpose: a worker that died with this status died by
 #: injection, not by a real fault.
 CRASH_EXIT_STATUS = 86
 
@@ -217,8 +219,8 @@ def configure_from_env(environ=os.environ) -> bool:
     """Arm from ``RED_FAILPOINTS`` / ``RED_FAILPOINT_SEED`` if present.
 
     Returns True when a spec was found and armed.  Called at import so
-    spawned pool workers (which re-import this module) inherit the
-    environment-armed configuration; forked workers inherit the module
+    spawned child processes (which re-import this module) inherit the
+    environment-armed configuration; forked ones inherit the module
     state directly.
     """
     spec = environ.get(ENV_VAR)
@@ -236,7 +238,7 @@ def configure_from_env(environ=os.environ) -> bool:
 
 
 def mark_worker_process() -> None:
-    """Mark this process as a disposable pool worker.
+    """Mark this process as a disposable worker (a serving shard).
 
     Only marked processes hard-exit on ``crash``-mode failpoints;
     everywhere else ``crash`` raises

@@ -51,7 +51,7 @@ def is_retryable(exc: BaseException, *, follow_cause: bool = False) -> bool:
 
     ``follow_cause=True`` additionally classifies a permanent-looking
     wrapper by its direct ``__cause__``: the service tier re-raises
-    transient pool/store failures wrapped in richer types
+    transient worker/store failures wrapped in richer types
     (``raise X from BrokenProcessPool``), and the wire envelope and the
     serving circuit breaker must not lose the transient bit in that
     wrapping.  Exactly one level is followed, and the

@@ -108,19 +108,15 @@ class ShardedRunner:
     def __call__(
         self,
         jobs,
-        num_workers: int = 1,
         cache=None,
-        chunk_size: int | None = None,
-        vectorized: bool = True,
         timeout: float | None = None,
         retry_policy=None,
     ):
         """Evaluate every job, in order, scattered across the shards.
 
-        ``num_workers``/``cache``/``chunk_size``/``retry_policy`` are
-        accepted for signature compatibility but owned by the shards
-        (each runs its own store and pool settings) — the serving plane
-        is shared-nothing on purpose.
+        ``cache``/``retry_policy`` are accepted for signature
+        compatibility but owned by the shards (each runs its own store)
+        — the serving plane is shared-nothing on purpose.
         """
         jobs = list(jobs)
         if not jobs:
@@ -134,7 +130,6 @@ class ShardedRunner:
                 shard_id,
                 [jobs[i] for i in indices],
                 timeout,
-                vectorized,
                 attempt,
             )
             for shard_id, indices in ordered
@@ -157,7 +152,7 @@ class ShardedRunner:
         failpoints.inject(MERGE_SITE, len(jobs), attempt)
         return results
 
-    def _call_shard(self, shard_id, sub_jobs, timeout, vectorized, attempt):
+    def _call_shard(self, shard_id, sub_jobs, timeout, attempt):
         """One partition: breaker -> shard -> (maybe) degraded fallback."""
         breaker = self.breakers[shard_id]
         if not breaker.allow():
@@ -165,7 +160,6 @@ class ShardedRunner:
                 shard_id,
                 sub_jobs,
                 timeout,
-                vectorized,
                 ShardUnavailableError(
                     f"shard-{shard_id} circuit is {breaker.state}"
                 ),
@@ -178,22 +172,16 @@ class ShardedRunner:
             if not is_retryable(exc):
                 raise
             breaker.record_failure()
-            return self._degraded(shard_id, sub_jobs, timeout, vectorized, exc)
+            return self._degraded(shard_id, sub_jobs, timeout, exc)
         breaker.record_success()
         return metrics
 
-    def _degraded(self, shard_id, sub_jobs, timeout, vectorized, cause):
+    def _degraded(self, shard_id, sub_jobs, timeout, cause):
         """In-process rescue of one partition, or surface the cause."""
         if not self.fallback:
             raise cause
         self.degraded_calls += 1
-        return run_design_jobs(
-            sub_jobs,
-            num_workers=1,
-            cache=None,
-            vectorized=vectorized,
-            timeout=timeout,
-        )
+        return run_design_jobs(sub_jobs, timeout=timeout)
 
     def close(self) -> None:
         """Stop the scatter pool (the supervisor is its owner's to stop)."""

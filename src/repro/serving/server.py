@@ -96,7 +96,6 @@ class ServingServer:
             :attr:`port` reports the bound one after :meth:`start`).
         num_shards: supervised worker processes.
         cache_dir: parent directory for the per-shard packed stores.
-        vectorized: substrate plane selection, forwarded everywhere.
         max_inflight / max_queue / retry_after_base_s: admission gate
             tuning (:class:`~repro.serving.admission.AdmissionGate`).
         fallback: reroute circuit-broken/dead shard partitions to the
@@ -120,7 +119,6 @@ class ServingServer:
         port: int = 0,
         num_shards: int = 2,
         cache_dir=None,
-        vectorized: bool = True,
         max_inflight: int = 8,
         max_queue: int = 32,
         retry_after_base_s: float = 0.05,
@@ -148,7 +146,6 @@ class ServingServer:
         self.supervisor = ShardSupervisor(
             num_shards=num_shards,
             cache_dir=cache_dir,
-            vectorized=vectorized,
             respawn_budget=respawn_budget,
             sleeper=sleeper,
             call_timeout_s=call_timeout_s,
@@ -158,7 +155,6 @@ class ServingServer:
             "failure_threshold": failure_threshold,
             "cooldown_s": cooldown_s,
         }
-        self._vectorized = vectorized
         self.respcache = (
             ResponseCache(response_cache_entries)
             if response_cache_entries
@@ -199,9 +195,7 @@ class ServingServer:
         self._loop = loop
         await loop.run_in_executor(self._pool, self.supervisor.start)
         self.runner = ShardedRunner(self.supervisor, **self._runner_kwargs)
-        self.service = RedService(
-            vectorized=self._vectorized, design_runner=self.runner
-        )
+        self.service = RedService(design_runner=self.runner)
         self._lsock = self._bind_socket()
         self._accept_task = loop.create_task(self._accept_loop(loop))
         self.ready.set()
@@ -419,7 +413,13 @@ class ServingServer:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        length_text = headers.get("content-length", "0") or "0"
+        # Digits only: int() alone would raise on "abc" and accept "-5".
+        if not (length_text.isascii() and length_text.isdigit()):
+            raise SchemaError(
+                f"Content-Length must be a non-negative decimal, got {length_text!r}"
+            )
+        length = int(length_text)
         if length > _MAX_BODY_BYTES:
             raise SchemaError(f"request body of {length} bytes exceeds the cap")
         body = await reader.readexactly(length) if length else b""

@@ -49,7 +49,6 @@ def shard_worker_main(
     conn,
     shard_index: int,
     cache_dir=None,
-    vectorized: bool = True,
 ) -> None:
     """Blocking request loop of one shard process (fork target)."""
     # ErrorInfo pulls the schema layer in; import here so the parent's
@@ -92,11 +91,7 @@ def shard_worker_main(
                 # this process for real and the supervisor respawns it.
                 failpoints.inject(SHARD_CALL_SITE, shard_index, seq, attempt)
                 metrics = run_design_jobs(
-                    list(jobs),
-                    num_workers=1,
-                    cache=store,
-                    vectorized=vectorized,
-                    timeout=timeout_s,
+                    list(jobs), cache=store, timeout=timeout_s
                 )
             except (ReproError, OSError) as exc:
                 conn.send(

@@ -94,7 +94,6 @@ class ShardSupervisor:
         num_shards: shard processes to run (>= 1).
         cache_dir: parent directory for the per-shard packed stores
             (``None`` -> shards run uncached).
-        vectorized: forwarded to each shard's runner calls.
         respawn_budget: process restarts allowed per shard before it is
             permanently degraded.
         respawn_policy: backoff schedule between restarts.
@@ -110,7 +109,6 @@ class ShardSupervisor:
         self,
         num_shards: int = 2,
         cache_dir=None,
-        vectorized: bool = True,
         respawn_budget: int = 2,
         respawn_policy: RetryPolicy = DEFAULT_RESPAWN_POLICY,
         sleeper=None,
@@ -128,7 +126,6 @@ class ShardSupervisor:
             )
         self.num_shards = num_shards
         self.cache_dir = cache_dir
-        self.vectorized = vectorized
         self.respawn_budget = respawn_budget
         self.respawn_policy = respawn_policy
         self._sleeper = sleeper if sleeper is not None else respawn_policy.sleeper
@@ -158,7 +155,7 @@ class ShardSupervisor:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=shard_worker_main,
-            args=(child_conn, shard.shard_id, self.cache_dir, self.vectorized),
+            args=(child_conn, shard.shard_id, self.cache_dir),
             name=f"red-shard-{shard.shard_id}",
             daemon=True,
         )

@@ -16,7 +16,6 @@ from repro.arch.breakdown import DesignMetrics
 from repro.arch.tech import TechnologyParams, default_tech
 from repro.deconv.shapes import DeconvSpec
 from repro.errors import ShapeError
-from repro.eval.parallel import SweepCache
 from repro.eval.store import PackedSweepStore
 from repro.nn.modules import ConvTranspose2d, Module, Sequential
 
@@ -115,8 +114,7 @@ def evaluate_network(
     input_width: int = 1,
     tech: TechnologyParams | None = None,
     designs: tuple[str, ...] | None = None,
-    jobs: int = 1,
-    cache: SweepCache | PackedSweepStore | str | os.PathLike | None = None,
+    cache: PackedSweepStore | str | os.PathLike | None = None,
 ) -> NetworkEvaluation:
     """Evaluate every design over every deconv layer of a network.
 
@@ -130,6 +128,6 @@ def evaluate_network(
     """
     from repro.api.service import RedService
 
-    return RedService(num_workers=jobs, cache=cache).network_evaluation(
+    return RedService(cache=cache).network_evaluation(
         network, input_height, input_width, tech=tech, designs=designs
     )

@@ -13,7 +13,6 @@ import os
 from dataclasses import dataclass
 
 from repro.errors import ParameterError
-from repro.eval.parallel import SweepCache
 from repro.eval.store import PackedSweepStore
 from repro.system.network_mapper import NetworkEvaluation, evaluate_network
 from repro.utils.validation import check_positive_int
@@ -96,15 +95,13 @@ def pipeline_network_sweep(
     input_height: int = 1,
     input_width: int = 1,
     tech=None,
-    jobs: int = 1,
-    cache: SweepCache | PackedSweepStore | str | os.PathLike | None = None,
+    cache: PackedSweepStore | str | os.PathLike | None = None,
 ) -> dict[str, PipelineReport]:
-    """Pipeline reports for every design over one network, evaluated
-    through the parallel sweep runner.
+    """Pipeline reports for every design over one network.
 
-    The per-(design, layer) evaluations fan out through the service's
+    The per-(design, layer) evaluations run through the service's
     single evaluation path (:func:`~repro.eval.parallel.run_design_jobs`,
-    ``jobs`` workers, optional on-disk ``cache``); the reports themselves
+    optional on-disk ``cache``); the reports themselves
     are cheap roll-ups.  Returns ``{design: PipelineReport}`` in design
     order (default: every registered design).
     """
@@ -117,7 +114,6 @@ def pipeline_network_sweep(
         input_width,
         tech=tech,
         designs=designs,
-        jobs=jobs,
         cache=cache,
     )
     return {

@@ -19,7 +19,7 @@ from repro.api.service import RedService
 from repro.arch.tech import default_tech
 from repro.deconv.shapes import DeconvSpec
 from repro.errors import SchemaError, ServiceClosedError, UnknownDesignError
-from repro.eval.parallel import CYCLES_KIND, DesignJob, SweepCache, job_key
+from repro.eval.parallel import CYCLES_KIND, DesignJob, evaluate_design_job, job_key
 from repro.eval.store import PackedSweepStore
 
 SPEC = DeconvSpec(4, 4, 3, 4, 4, 2, stride=2, padding=1)
@@ -111,10 +111,12 @@ class TestTrace:
         stats = store.get_many([key], kind=CYCLES_KIND)[0]
         assert stats.cycles == cold.metrics_for("RED").cycles
 
-    def test_legacy_sweep_cache_still_accepted(self, tmp_path):
+    def test_caller_store_shared_across_services(self, tmp_path):
         request = EvaluationRequest(spec=SPEC, trace=True, layer_name="L")
-        cache = SweepCache(tmp_path)
-        cold = RedService(cache=cache).evaluate(request)
+        cache = PackedSweepStore(tmp_path)
+        with RedService(cache=cache) as first:
+            cold = first.evaluate(request)
+        # A caller-provided store is the caller's: close() leaves it open.
         warm = RedService(cache=cache).evaluate(request)
         assert warm == cold
         assert cache.hits == 4
@@ -308,18 +310,28 @@ class TestScheduleCacheLifecycle:
         assert fast.cycle_stats == exact.cycle_stats
 
 
-class TestVectorizedRouting:
-    def test_vectorized_flag_is_behavior_invisible(self):
-        """ISSUE-4: the service's default vectorized route and the scalar
-        oracle route must produce byte-identical results."""
-        import pickle
+class TestOracleRouting:
+    def test_evaluate_matches_the_scalar_oracle(self):
+        """The service's vectorized route and the scalar oracle produce
+        byte-identical metrics."""
+        request = EvaluationRequest(spec=SPEC, layer_name="L")
+        result = RedService().evaluate(request)
+        oracle = [
+            evaluate_design_job(DesignJob(design, SPEC, default_tech(), layer_name="L"))
+            for design in result.designs
+        ]
+        assert [pickle.dumps(m, 5) for m in result.metrics] == [
+            pickle.dumps(m, 5) for m in oracle
+        ]
 
-        request = EvaluationRequest(spec=SPEC)
-        default = RedService().evaluate(request)
-        scalar = RedService(vectorized=False).evaluate(request)
-        assert pickle.dumps(default.metrics, 5) == pickle.dumps(scalar.metrics, 5)
-
-    def test_sweep_points_match_across_routes(self):
-        fast = RedService().sweep_points(strides=(1, 2, 4))
-        slow = RedService(vectorized=False).sweep_points(strides=(1, 2, 4))
-        assert fast == slow
+    def test_sweep_points_match_the_scalar_oracle(self):
+        points = RedService().sweep_points(strides=(1, 2, 4))
+        for point in points:
+            kernel = max(2 * point.stride, 2)
+            spec = DeconvSpec(
+                input_height=8, input_width=8, in_channels=64,
+                kernel_height=kernel, kernel_width=kernel, out_channels=32,
+                stride=point.stride, padding=point.stride // 2,
+            )
+            red = evaluate_design_job(DesignJob("RED", spec, default_tech(), fold=1))
+            assert point.cycles_red == red.cycles

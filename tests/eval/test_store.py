@@ -6,9 +6,8 @@ Covers the ISSUE-5 contracts:
   ``[job_key(j) for j in jobs]`` across designs, folds, techs and kinds
   (hypothesis property).
 - ``PackedSweepStore`` round-trips payloads, survives concurrent
-  ``put_many`` writers sharing one directory, migrates the legacy
-  directory-of-pickles layout byte-identically, and bounds its
-  in-memory LRU hit tier.
+  ``put_many`` writers sharing one directory, and bounds its in-memory
+  LRU hit tier.
 - ``run_design_jobs`` / ``run_cycle_jobs`` issue *zero* per-job cache
   calls — one batched probe plus one batched publish per run
   (call-count instrumentation).
@@ -32,7 +31,6 @@ from repro.eval.parallel import (
     DesignJob,
     FidelityJob,
     FidelityStats,
-    SweepCache,
     evaluate_design_job,
     fidelity_job_keys,
     job_key,
@@ -393,40 +391,18 @@ class TestConcurrentWriters:
 
 
 # ----------------------------------------------------------------------
-# Legacy directory-of-pickles migration
+# Foreign files in the store directory
 # ----------------------------------------------------------------------
-class TestLegacyMigration:
-    def test_legacy_entries_read_back_byte_identical(self, tmp_path):
-        legacy = SweepCache(tmp_path)
-        jobs = [
-            make_job(design=design, layer_name=design)
-            for design in ("RED", "zero-padding", "padding-free")
-        ]
-        legacy_results = run_design_jobs(jobs, cache=legacy)
-        migrated = PackedSweepStore(tmp_path)
-        assert migrated.migrated == len(jobs)
-        packed_results = run_design_jobs(jobs, cache=migrated)
-        assert migrated.misses == 0
-        assert [pickle.dumps(m) for m in packed_results] == [
-            pickle.dumps(m) for m in legacy_results
-        ]
-        # The legacy files stay in place for older readers.
-        assert len(list(tmp_path.glob("*.pkl"))) == len(jobs)
-
-    def test_migration_is_idempotent(self, tmp_path):
-        legacy = SweepCache(tmp_path)
-        run_design_jobs([make_job()], cache=legacy)
-        first = PackedSweepStore(tmp_path)
-        assert first.migrated == 1
-        second = PackedSweepStore(tmp_path)
-        assert second.migrated == 0  # already indexed, nothing re-imported
-        assert len(second) == 1
-
-    def test_non_key_pickles_ignored(self, tmp_path):
+class TestForeignFiles:
+    def test_stray_pickles_are_ignored(self, tmp_path):
+        """One-pickle-per-key files are not part of the layout: the store
+        neither imports nor deletes them."""
+        key = job_key(make_job())
+        (tmp_path / f"{key}.pkl").write_bytes(pickle.dumps(stats_payload(1)))
         (tmp_path / "notes.pkl").write_bytes(pickle.dumps({"x": 1}))
-        (tmp_path / ("z" * 64 + ".pkl")).write_bytes(b"junk")  # non-hex stem
         store = PackedSweepStore(tmp_path)
-        assert store.migrated == 0 and len(store) == 0
+        assert len(store) == 0 and key not in store
+        assert len(list(tmp_path.glob("*.pkl"))) == 2
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Hit/miss/invalidation coverage for the on-disk sweep cache."""
+"""Keying, hit/miss and invalidation coverage for the sweep result store."""
 
 import dataclasses
 import pickle
@@ -7,14 +7,13 @@ import pytest
 
 from repro.arch.tech import TechnologyParams, default_tech
 from repro.deconv.shapes import DeconvSpec
-from repro.errors import ParameterError
 from repro.eval.parallel import (
     DesignJob,
-    SweepCache,
     evaluate_design_job,
     job_key,
     run_design_jobs,
 )
+from repro.eval.store import PackedSweepStore
 
 SPEC = DeconvSpec(4, 4, 3, 4, 4, 2, stride=2, padding=1)
 
@@ -82,52 +81,28 @@ class TestJobKey:
 
 class TestCacheLifecycle:
     def test_miss_then_store_then_hit(self, tmp_path):
-        cache = SweepCache(tmp_path)
+        cache = PackedSweepStore(tmp_path)
         job = make_job()
         assert cache.get(job) is None
         assert (cache.hits, cache.misses) == (0, 1)
         metrics = evaluate_design_job(job)
         cache.put(job, metrics)
         assert cache.stores == 1
-        assert cache.path_for(job).exists()
+        assert job_key(job) in cache
         cached = cache.get(job)
         assert cache.hits == 1
         assert cached == metrics
 
     def test_hit_relabelled_to_requesting_job(self, tmp_path):
-        cache = SweepCache(tmp_path)
+        cache = PackedSweepStore(tmp_path)
         job_a = make_job(layer_name="GAN_Deconv1")
         cache.put(job_a, evaluate_design_job(job_a))
         cached = cache.get(make_job(layer_name="SNGAN_Deconv4"))
         assert cached is not None
         assert cached.layer == "SNGAN_Deconv4"
 
-    def test_corrupt_entry_is_a_miss_and_gets_rewritten(self, tmp_path):
-        cache = SweepCache(tmp_path)
-        job = make_job()
-        cache.path_for(job).write_bytes(b"not a pickle")
-        assert cache.get(job) is None
-        # The bad entry is counted and unlinked so the slot is rewritten.
-        assert cache.corrupt == 1
-        assert cache.misses == 1
-        assert not cache.path_for(job).exists()
-        results = run_design_jobs([job], cache=cache)
-        assert pickle.dumps(results[0]) == pickle.dumps(evaluate_design_job(job))
-        assert cache.get(job) is not None
-        assert cache.corrupt == 1  # the rewrite is clean
-
-    def test_shape_skewed_entry_counts_as_corrupt(self, tmp_path):
-        cache = SweepCache(tmp_path)
-        job = make_job()
-        # A valid pickle of the wrong payload class (e.g. written before
-        # a payload schema change) is shape skew, not a programming error.
-        cache.path_for(job).write_bytes(pickle.dumps({"not": "metrics"}))
-        assert cache.get(job) is None
-        assert cache.corrupt == 1
-        assert not cache.path_for(job).exists()
-
     def test_tech_change_invalidates_previous_results(self, tmp_path):
-        cache = SweepCache(tmp_path)
+        cache = PackedSweepStore(tmp_path)
         job = make_job()
         run_design_jobs([job], cache=cache)
         retuned = make_job(tech=default_tech().with_overrides(t_adc=1.0e-9))
@@ -141,13 +116,13 @@ class TestCacheLifecycle:
         first = run_design_jobs([job], cache=str(tmp_path))
         second = run_design_jobs([job], cache=tmp_path)
         assert pickle.dumps(first) == pickle.dumps(second)
-        # A path constructs the packed store, not the per-pickle layout.
+        # A path constructs the packed store: segments plus one index.
         assert (tmp_path / "index.bin").exists()
         assert len(list(tmp_path.glob("*.seg"))) >= 1
         assert len(list(tmp_path.glob("*.pkl"))) == 0
 
     def test_duplicate_jobs_computed_once_with_labels_preserved(self, tmp_path):
-        cache = SweepCache(tmp_path)
+        cache = PackedSweepStore(tmp_path)
         jobs = [make_job(layer_name="A"), make_job(layer_name="B")]
         results = run_design_jobs(jobs, cache=cache)
         assert cache.stores == 1  # one evaluation served both jobs
@@ -155,94 +130,33 @@ class TestCacheLifecycle:
         assert results[0].latency == results[1].latency
 
     def test_mixed_hit_miss_preserves_job_order(self, tmp_path):
-        cache = SweepCache(tmp_path)
+        cache = PackedSweepStore(tmp_path)
         jobs = [make_job(design=d, layer_name=d) for d in ("RED", "zero-padding")]
         run_design_jobs([jobs[0]], cache=cache)
         results = run_design_jobs(jobs, cache=cache)
         assert [m.design for m in results] == ["RED", "zero-padding"]
         assert [m.layer for m in results] == ["RED", "zero-padding"]
 
-
-class TestCacheWithVectorizedRoute:
-    """ISSUE-4: SweepCache semantics are route-independent.
-
-    Hits relabel per requesting job, misses are computed once per unique
-    key, and cold/warm results are byte-identical whether the vectorized
-    plane or the scalar path produced them.
-    """
-
-    def _job_grid(self):
-        specs = (SPEC, DeconvSpec(3, 5, 2, 4, 4, 3, stride=2, padding=1))
-        return [
-            make_job(design=design, spec=spec, fold=None, layer_name=f"{design}-{i}")
-            for i, spec in enumerate(specs)
-            for design in ("zero-padding", "padding-free", "RED")
-        ]
-
-    def test_cold_entries_byte_identical_across_routes(self, tmp_path):
-        jobs = self._job_grid()
-        vec_cache = SweepCache(tmp_path / "vec")
-        scalar_cache = SweepCache(tmp_path / "scalar")
-        run_design_jobs(jobs, cache=vec_cache, vectorized=True)
-        run_design_jobs(jobs, cache=scalar_cache, vectorized=False)
-        for job in jobs:
-            vec_bytes = vec_cache.path_for(job).read_bytes()
-            scalar_bytes = scalar_cache.path_for(job).read_bytes()
-            assert vec_bytes == scalar_bytes
-
-    def test_warm_reads_match_cold_results_regardless_of_writer(self, tmp_path):
-        jobs = self._job_grid()
-        cache = SweepCache(tmp_path)
-        cold = run_design_jobs(jobs, cache=cache, vectorized=True)
-        warm_scalar = run_design_jobs(jobs, cache=cache, vectorized=False)
-        warm_vec = run_design_jobs(jobs, cache=cache, vectorized=True)
-        # Per-element digests: list-level pickles differ by shared-object
-        # memoization even when every element is byte-identical.
-        digest = lambda results: [pickle.dumps(m) for m in results]  # noqa: E731
-        assert digest(cold) == digest(warm_scalar) == digest(warm_vec)
-        # Every warm read was a pure hit: nothing was recomputed/stored.
-        assert cache.stores == len(jobs)
-        assert cache.hits == 2 * len(jobs)
-
-    def test_vectorized_misses_computed_once_per_unique_key(self, tmp_path):
-        cache = SweepCache(tmp_path)
+    def test_misses_computed_once_per_unique_key(self, tmp_path):
+        cache = PackedSweepStore(tmp_path)
         jobs = [make_job(layer_name=label) for label in ("A", "B", "C")]
         jobs += [make_job(design="zp", layer_name="D")]  # zero-padding alias
-        results = run_design_jobs(jobs, cache=cache, vectorized=True)
+        results = run_design_jobs(jobs, cache=cache)
         # Three RED jobs share one key; the aliased zero-padding job has
         # its own.  Misses are stored exactly once per unique key.
         assert cache.stores == 2
         assert [m.layer for m in results] == ["A", "B", "C", "D"]
         assert results[0].latency == results[1].latency == results[2].latency
 
-    def test_hits_relabel_per_requesting_job_on_batched_path(self, tmp_path):
-        cache = SweepCache(tmp_path)
-        run_design_jobs([make_job(layer_name="seed")], cache=cache, vectorized=True)
-        relabelled = run_design_jobs(
-            [make_job(layer_name="hit-1"), make_job(layer_name="hit-2")],
-            cache=cache,
-            vectorized=True,
-        )
-        assert [m.layer for m in relabelled] == ["hit-1", "hit-2"]
-        assert cache.hits == 2 and cache.stores == 1
-
-    def test_dedup_identical_without_cache_on_both_routes(self):
-        jobs = [make_job(layer_name="X"), make_job(layer_name="Y")]
-        for vectorized in (True, False):
-            results = run_design_jobs(jobs, vectorized=vectorized)
-            assert [m.layer for m in results] == ["X", "Y"]
-            assert results[0].latency == results[1].latency
+    def test_dedup_identical_without_cache(self):
+        results = run_design_jobs([make_job(layer_name="X"), make_job(layer_name="Y")])
+        assert [m.layer for m in results] == ["X", "Y"]
+        assert results[0].latency == results[1].latency
 
 
 class TestRunnerValidation:
-    def test_bad_worker_count_rejected(self):
-        with pytest.raises(ParameterError):
-            run_design_jobs([make_job()], num_workers=0)
-
-    def test_bad_chunk_size_rejected(self):
-        with pytest.raises(ParameterError):
-            run_design_jobs([make_job()], chunk_size=0)
-
     def test_unknown_design_raises(self):
         with pytest.raises(KeyError):
             evaluate_design_job(make_job(design="systolic"))
+        with pytest.raises(KeyError):
+            run_design_jobs([make_job(design="systolic")])

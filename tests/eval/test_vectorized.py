@@ -74,7 +74,7 @@ class TestBitIdentityProperty:
             [evaluate_design_job(job)]
         )
 
-    def test_run_design_jobs_routes_match_over_the_spec_zoo(self):
+    def test_run_design_jobs_matches_oracle_over_the_spec_zoo(self):
         tech = default_tech()
         jobs = [
             DesignJob(design, spec, tech, layer_name=f"{design}-{index}")
@@ -82,7 +82,7 @@ class TestBitIdentityProperty:
             for design in available_designs()
         ]
         assert _bytes(run_design_jobs(jobs)) == _bytes(
-            run_design_jobs(jobs, vectorized=False)
+            [evaluate_design_job(job) for job in jobs]
         )
 
 
@@ -143,7 +143,9 @@ class TestPlaneSemantics:
     def test_float_fold_never_borrows_an_int_twin_result(self, use_cache, tmp_path):
         """fold=2.0 is invalid; being value-equal to a valid fold=2 job
         in the same work list must not smuggle it past validation on
-        either dedup route (in-memory tuple keys or on-disk job_key)."""
+        either dedup route (in-memory tuple keys or on-disk job_key);
+        ``tests/properties/test_parallel_determinism.py`` draws it over
+        random shapes."""
         tech = default_tech()
         jobs = [
             DesignJob("RED", SMALL_SPECS[0], tech, fold=2, layer_name="ok"),
@@ -152,8 +154,6 @@ class TestPlaneSemantics:
         cache = str(tmp_path) if use_cache else None
         with pytest.raises(ParameterError):
             run_design_jobs(jobs, cache=cache)
-        with pytest.raises(ParameterError):
-            run_design_jobs(jobs, cache=cache, vectorized=False)
 
 
 class TestScalarFallback:
@@ -172,10 +172,10 @@ class TestScalarFallback:
                 DesignJob("no-batch-design", SMALL_SPECS[0], tech, layer_name="p"),
                 DesignJob("RED", SMALL_SPECS[0], tech, layer_name="q"),
             ]
-            results = run_design_jobs(jobs)  # vectorized default
+            results = run_design_jobs(jobs)
             assert [m.design for m in results] == ["no-batch-design", "RED"]
             assert _bytes(results) == _bytes(
-                run_design_jobs(jobs, vectorized=False)
+                [evaluate_design_job(job) for job in jobs]
             )
             with pytest.raises(ParameterError):
                 evaluate_design_jobs_batch([jobs[0]])

@@ -1,9 +1,9 @@
 """Chaos suite: injected faults must recover to byte-identical results.
 
 The headline invariant of the resilience plane: a run under injected
-pool crashes, I/O errors and corrupt payloads either recovers to the
-exact result of a fault-free run (retry, respawn, degrade) or surfaces
-a typed error — it never silently returns different numbers.
+I/O errors and corrupt payloads either recovers to the exact result of
+a fault-free run (retry, degrade, recompute) or surfaces a typed error
+— it never silently returns different numbers.
 
 Every test pins its fault schedule with ``configured_failpoints`` (the
 draws are pure functions of ``(seed, site, tokens)``, so a failing
@@ -18,14 +18,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.eval.vectorized as vectorized
 from repro.api.schema import SweepRequest
 from repro.api.service import RedService
 from repro.arch.tech import default_tech
 from repro.deconv.shapes import DeconvSpec
-from repro.errors import EvaluationTimeoutError
+from repro.errors import EvaluationTimeoutError, InjectedFaultError
 from repro.eval.parallel import (
     DesignJob,
     FidelityJob,
+    evaluate_design_job,
     run_cycle_jobs,
     run_design_jobs,
     run_fidelity_jobs,
@@ -53,9 +55,10 @@ LENIENT = RetryPolicy(max_attempts=10, base_delay_s=0.0, sleeper=no_sleep)
 
 @functools.lru_cache(maxsize=None)
 def fault_free_metrics() -> tuple:
-    """The reference result, computed once with every failpoint disarmed."""
+    """The reference result: the scalar oracle, with every failpoint
+    disarmed."""
     with configured_failpoints(None):
-        return tuple(run_design_jobs(list(JOBS), vectorized=False))
+        return tuple(evaluate_design_job(job) for job in JOBS)
 
 
 @functools.lru_cache(maxsize=None)
@@ -87,44 +90,40 @@ def fault_free_fidelity() -> tuple:
         return tuple(run_fidelity_jobs(fidelity_jobs()))
 
 
-class TestPoolChaos:
-    @settings(max_examples=5, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_io_error_retries_recover_byte_identical(self, seed):
-        with configured_failpoints("pool.worker:io_error@0.15", seed=seed):
-            result = run_design_jobs(
-                list(JOBS),
-                num_workers=2,
-                vectorized=False,
-                retry_policy=LENIENT,
-            )
+def flaky(original, failures: int):
+    """``original`` behind ``failures`` leading transient faults."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        if len(calls) <= failures:
+            raise InjectedFaultError(f"injected evaluation fault #{len(calls)}")
+        return original(*args, **kwargs)
+
+    return wrapped
+
+
+class TestEvaluationFaults:
+    def test_transient_batch_fault_retries_byte_identical(self, monkeypatch):
+        monkeypatch.setattr(
+            vectorized,
+            "evaluate_design_jobs_batch",
+            flaky(vectorized.evaluate_design_jobs_batch, failures=2),
+        )
+        with configured_failpoints(None):
+            result = run_design_jobs(list(JOBS), retry_policy=LENIENT)
         assert tuple(result) == fault_free_metrics()
 
-    def test_certain_crash_respawns_then_degrades(self):
-        # rate 1.0: every pool attempt hard-exits its worker.  The
-        # runner respawns the pool once, sees it break again, and
-        # degrades the remaining chunks to in-process execution — the
-        # recovery of last resort still produces the exact results.
-        with configured_failpoints("pool.worker:crash@1.0"):
-            result = run_design_jobs(
-                list(JOBS),
-                num_workers=2,
-                vectorized=False,
-                retry_policy=LENIENT,
-            )
-        assert tuple(result) == fault_free_metrics()
-
-    @settings(max_examples=5, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_partial_crashes_recover_byte_identical(self, seed):
-        with configured_failpoints("pool.worker:crash@0.4", seed=seed):
-            result = run_design_jobs(
-                list(JOBS),
-                num_workers=2,
-                vectorized=False,
-                retry_policy=LENIENT,
-            )
-        assert tuple(result) == fault_free_metrics()
+    def test_exhausted_retries_surface_the_fault(self, monkeypatch):
+        monkeypatch.setattr(
+            vectorized,
+            "evaluate_design_jobs_batch",
+            flaky(vectorized.evaluate_design_jobs_batch, failures=2),
+        )
+        once = RetryPolicy(max_attempts=2, sleeper=no_sleep)
+        with configured_failpoints(None):
+            with pytest.raises(InjectedFaultError):
+                run_design_jobs(list(JOBS), retry_policy=once)
 
 
 class TestStoreChaos:
@@ -136,23 +135,21 @@ class TestStoreChaos:
             tmp_path, retry_policy=RetryPolicy(max_attempts=2, sleeper=no_sleep)
         )
         with configured_failpoints("store.put_many:io_error@1.0"):
-            first = run_design_jobs(list(JOBS), cache=store, vectorized=False)
+            first = run_design_jobs(list(JOBS), cache=store)
             assert tuple(first) == fault_free_metrics()
             assert store.degraded
             assert store.degraded_puts == len(JOBS)
-            warm = run_design_jobs(list(JOBS), cache=store, vectorized=False)
+            warm = run_design_jobs(list(JOBS), cache=store)
         assert tuple(warm) == fault_free_metrics()
         assert store.memory_hits > 0
 
     def test_corrupt_reads_quarantine_and_recompute(self, tmp_path):
         store = PackedSweepStore(tmp_path)
         with configured_failpoints(None):
-            run_design_jobs(list(JOBS), cache=store, vectorized=False)
+            run_design_jobs(list(JOBS), cache=store)
         with configured_failpoints("store.get_many:corrupt@1.0"):
             fresh = PackedSweepStore(tmp_path)  # cold memory tier
-            result = run_design_jobs(
-                list(JOBS), cache=fresh, vectorized=False
-            )
+            result = run_design_jobs(list(JOBS), cache=fresh)
         assert tuple(result) == fault_free_metrics()
         assert fresh.corrupt == len(JOBS)
         assert fresh.quarantined == len(JOBS)
@@ -166,11 +163,7 @@ class TestStoreChaos:
         # store directory.
         import tempfile
 
-        spec = (
-            "pool.worker:io_error@0.1;"
-            "store.put_many:io_error@0.4;"
-            "store.get_many:corrupt@0.4"
-        )
+        spec = "store.put_many:io_error@0.4;store.get_many:corrupt@0.4"
         with tempfile.TemporaryDirectory() as directory:
             with configured_failpoints(spec, seed=seed):
                 store = PackedSweepStore(
@@ -178,18 +171,10 @@ class TestStoreChaos:
                     retry_policy=RetryPolicy(max_attempts=4, sleeper=no_sleep),
                 )
                 cold = run_design_jobs(
-                    list(JOBS),
-                    num_workers=2,
-                    cache=store,
-                    vectorized=False,
-                    retry_policy=LENIENT,
+                    list(JOBS), cache=store, retry_policy=LENIENT
                 )
                 warm = run_design_jobs(
-                    list(JOBS),
-                    num_workers=2,
-                    cache=store,
-                    vectorized=False,
-                    retry_policy=LENIENT,
+                    list(JOBS), cache=store, retry_policy=LENIENT
                 )
         assert tuple(cold) == fault_free_metrics()
         assert tuple(warm) == fault_free_metrics()
@@ -219,26 +204,10 @@ class TestRunnerCompanionsChaos:
 
 
 class TestTimeouts:
-    def test_inline_scalar_timeout(self):
-        with configured_failpoints(None):
-            with pytest.raises(EvaluationTimeoutError):
-                run_design_jobs(list(JOBS), vectorized=False, timeout=1e-9)
-
     def test_vectorized_timeout(self):
         with configured_failpoints(None):
             with pytest.raises(EvaluationTimeoutError):
                 run_design_jobs(list(JOBS), timeout=1e-9)
-
-    def test_pool_timeout(self):
-        with configured_failpoints(None):
-            with pytest.raises(EvaluationTimeoutError):
-                run_design_jobs(
-                    list(JOBS),
-                    num_workers=2,
-                    vectorized=False,
-                    timeout=1e-9,
-                    retry_policy=LENIENT,
-                )
 
     def test_cycle_jobs_timeout(self):
         with configured_failpoints(None):
@@ -253,15 +222,17 @@ class TestTimeouts:
 
 class TestServicePartialResults:
     def test_sweep_salvages_surviving_strides(self):
-        # max_attempts=1 disables retries so per-stride failures surface
-        # into the partial-result envelope; seed 4 yields a mix of
-        # survivors and failures for this grid.
-        policy = RetryPolicy(max_attempts=1, sleeper=no_sleep)
+        # A substrate whose strides 2 and 8 always fail transiently:
+        # the batched call fails, and the per-stride salvage pass keeps
+        # strides 1 and 4.
+        def failing_runner(jobs, **kwargs):
+            if any(job.spec.stride in (2, 8) for job in jobs):
+                raise InjectedFaultError("injected stride fault")
+            return run_design_jobs(jobs, **kwargs)
+
         request = SweepRequest(strides=(1, 2, 4, 8))
-        with configured_failpoints("pool.worker:io_error@0.3", seed=4):
-            with RedService(
-                num_workers=2, vectorized=False, retry_policy=policy
-            ) as service:
+        with configured_failpoints(None):
+            with RedService(design_runner=failing_runner) as service:
                 partial = service.sweep(request)
         with configured_failpoints(None):
             with RedService() as service:
@@ -269,13 +240,13 @@ class TestServicePartialResults:
         assert partial.failures
         assert clean.failures == ()
         failed = {info.source for info in partial.failures}
-        assert all(source.startswith("stride=") for source in failed)
+        assert failed == {"stride=2", "stride=8"}
         for info in partial.failures:
             assert info.error_type == "InjectedFaultError"
             assert info.retryable
         # Surviving strides are byte-identical to the fault-free sweep.
         clean_by_stride = {point.stride: point for point in clean.points}
-        assert partial.points  # seed 4: survivors exist
+        assert [point.stride for point in partial.points] == [1, 4]
         for point in partial.points:
             assert point == clean_by_stride[point.stride]
             assert f"stride={point.stride}" not in failed
@@ -286,11 +257,14 @@ class TestServicePartialResults:
 
 
 class TestAmbientEnvironment:
-    def test_ambient_env_matrix_recovers(self):
+    def test_ambient_env_matrix_recovers(self, tmp_path):
         # Under `make chaos` this module imports with RED_FAILPOINTS
-        # armed from the environment, so this run executes under the
-        # ambient fault matrix; unarmed it is a plain determinism check.
-        result = run_design_jobs(
-            list(JOBS), num_workers=2, vectorized=False, retry_policy=LENIENT
-        )
-        assert tuple(result) == fault_free_metrics()
+        # armed from the environment, so these runs execute under the
+        # ambient fault matrix; unarmed they are a plain determinism
+        # check.  Cold publish, then a fresh store's disk-tier reads.
+        store = PackedSweepStore(tmp_path, retry_policy=LENIENT)
+        cold = run_design_jobs(list(JOBS), cache=store, retry_policy=LENIENT)
+        fresh = PackedSweepStore(tmp_path, retry_policy=LENIENT)
+        warm = run_design_jobs(list(JOBS), cache=fresh, retry_policy=LENIENT)
+        assert tuple(cold) == fault_free_metrics()
+        assert tuple(warm) == fault_free_metrics()

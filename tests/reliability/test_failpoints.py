@@ -26,11 +26,11 @@ from repro.reliability.failpoints import (
 class TestParsing:
     def test_spec_round_trip(self):
         points = parse_failpoints(
-            "store.put_many:io_error@0.3;pool.worker:crash@0.1"
+            "store.put_many:io_error@0.3;serving.shard_call:crash@0.1"
         )
         assert points == (
             Failpoint("store.put_many", "io_error", 0.3),
-            Failpoint("pool.worker", "crash", 0.1),
+            Failpoint("serving.shard_call", "crash", 0.1),
         )
         assert parse_failpoints(format_failpoints(points)) == points
 
@@ -39,14 +39,14 @@ class TestParsing:
         assert point.rate == 1.0
 
     def test_empty_clauses_skipped(self):
-        assert parse_failpoints(";;pool.worker:crash;;") == (
-            Failpoint("pool.worker", "crash"),
+        assert parse_failpoints(";;serving.shard_call:crash;;") == (
+            Failpoint("serving.shard_call", "crash"),
         )
         assert parse_failpoints("") == ()
 
     @pytest.mark.parametrize(
         "spec",
-        ["pool.worker", "site:badmode", "site:io_error@nope", "site:io_error@1.5"],
+        ["serving.shard_call", "site:badmode", "site:io_error@nope", "site:io_error@1.5"],
     )
     def test_malformed_specs_raise_parameter_error(self, spec):
         with pytest.raises(ParameterError):
@@ -60,11 +60,11 @@ class TestParsing:
 
 class TestConfiguration:
     def test_configure_and_clear(self):
-        with configured_failpoints("pool.worker:io_error@0.5", seed=3):
+        with configured_failpoints("serving.shard_call:io_error@0.5", seed=3):
             assert failpoints.is_armed()
             assert failpoints.active_seed() == 3
             assert failpoints.active_failpoints() == (
-                Failpoint("pool.worker", "io_error", 0.5),
+                Failpoint("serving.shard_call", "io_error", 0.5),
             )
             with configured_failpoints(None):
                 assert not failpoints.is_armed()
@@ -73,12 +73,12 @@ class TestConfiguration:
             assert failpoints.active_seed() == 3
 
     def test_configured_restores_on_error(self):
-        with configured_failpoints("pool.worker:io_error", seed=9):
+        with configured_failpoints("serving.shard_call:io_error", seed=9):
             with pytest.raises(RuntimeError):
                 with configured_failpoints("store.put_many:crash", seed=1):
                     raise RuntimeError("boom")
             assert failpoints.active_seed() == 9
-            assert failpoints.active_failpoints()[0].site == "pool.worker"
+            assert failpoints.active_failpoints()[0].site == "serving.shard_call"
 
     def test_configure_from_env(self):
         with configured_failpoints(None):
@@ -95,7 +95,7 @@ class TestConfiguration:
             )
 
     def test_configure_from_env_absent_is_noop(self):
-        with configured_failpoints("pool.worker:crash", seed=2):
+        with configured_failpoints("serving.shard_call:crash", seed=2):
             assert not failpoints.configure_from_env({})
             assert failpoints.active_seed() == 2
 
@@ -104,55 +104,55 @@ class TestConfiguration:
             with pytest.raises(ParameterError):
                 failpoints.configure_from_env(
                     {
-                        failpoints.ENV_VAR: "pool.worker:crash",
+                        failpoints.ENV_VAR: "serving.shard_call:crash",
                         failpoints.ENV_SEED_VAR: "not-an-int",
                     }
                 )
 
     def test_bad_seed_rejected(self):
         with pytest.raises(ParameterError):
-            failpoints.configure_failpoints("pool.worker:crash", seed=-1)
+            failpoints.configure_failpoints("serving.shard_call:crash", seed=-1)
 
 
 class TestDeterminism:
     def test_draw_is_pure_function_of_values(self):
-        with configured_failpoints("pool.worker:io_error@0.5", seed=11):
+        with configured_failpoints("serving.shard_call:io_error@0.5", seed=11):
             first = [
-                failpoints.check("pool.worker", f"job{i}", 1) is not None
+                failpoints.check("serving.shard_call", f"job{i}", 1) is not None
                 for i in range(64)
             ]
             second = [
-                failpoints.check("pool.worker", f"job{i}", 1) is not None
+                failpoints.check("serving.shard_call", f"job{i}", 1) is not None
                 for i in range(64)
             ]
         assert first == second
         assert any(first) and not all(first)
 
     def test_draw_independent_of_call_order(self):
-        with configured_failpoints("pool.worker:io_error@0.5", seed=11):
+        with configured_failpoints("serving.shard_call:io_error@0.5", seed=11):
             forward = {
-                i: failpoints.check("pool.worker", f"job{i}", 1) is not None
+                i: failpoints.check("serving.shard_call", f"job{i}", 1) is not None
                 for i in range(32)
             }
             backward = {
-                i: failpoints.check("pool.worker", f"job{i}", 1) is not None
+                i: failpoints.check("serving.shard_call", f"job{i}", 1) is not None
                 for i in reversed(range(32))
             }
         assert forward == backward
 
     def test_attempt_token_redraws(self):
-        with configured_failpoints("pool.worker:io_error@0.5", seed=11):
+        with configured_failpoints("serving.shard_call:io_error@0.5", seed=11):
             by_attempt = [
-                failpoints.check("pool.worker", "job", attempt) is not None
+                failpoints.check("serving.shard_call", "job", attempt) is not None
                 for attempt in range(1, 33)
             ]
         assert any(by_attempt) and not all(by_attempt)
 
     def test_seed_changes_schedule(self):
         def schedule(seed):
-            with configured_failpoints("pool.worker:io_error@0.5", seed=seed):
+            with configured_failpoints("serving.shard_call:io_error@0.5", seed=seed):
                 return tuple(
-                    failpoints.check("pool.worker", f"job{i}", 1) is not None
+                    failpoints.check("serving.shard_call", f"job{i}", 1) is not None
                     for i in range(64)
                 )
 

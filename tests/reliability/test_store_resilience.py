@@ -8,13 +8,11 @@ state, and corrupt payloads move to ``quarantine/`` rather than being
 destroyed.
 """
 
-import pickle
-
 import pytest
 
 from repro.arch.tech import default_tech
 from repro.deconv.shapes import DeconvSpec
-from repro.eval.parallel import SweepCache, DesignJob, job_key
+from repro.eval.parallel import DesignJob, job_key
 from repro.eval.store import _INDEX_MAGIC, _ROW, PackedSweepStore
 from repro.reliability import configured_failpoints
 from repro.reliability.policy import RetryPolicy, no_sleep
@@ -51,7 +49,7 @@ def populated(tmp_path):
 
     store = PackedSweepStore(tmp_path)
     with configured_failpoints(None):
-        run_design_jobs(list(JOBS), cache=store, vectorized=False)
+        run_design_jobs(list(JOBS), cache=store)
     keys = [job_key(job) for job in JOBS]
     return store, keys
 
@@ -232,23 +230,6 @@ class TestQuarantine:
             assert scrubbed.get_many(keys) == payloads
             reopened = PackedSweepStore(tmp_path, memory_entries=0)
             assert reopened.get_many(keys) == payloads
-
-    def test_legacy_sweep_cache_quarantines(self, tmp_path):
-        cache = SweepCache(tmp_path)
-        key = job_key(JOBS[0])
-        bad = tmp_path / f"{key}.pkl"
-        bad.write_bytes(b"\x80\x04 definitely not a pickle")
-        assert cache.get_many([key]) == [None]
-        assert cache.corrupt == 1
-        assert not bad.exists()
-        assert (tmp_path / "quarantine" / bad.name).exists()
-
-    def test_legacy_sweep_cache_quarantines_wrong_type(self, tmp_path):
-        cache = SweepCache(tmp_path)
-        key = job_key(JOBS[0])
-        (tmp_path / f"{key}.pkl").write_bytes(pickle.dumps({"not": "metrics"}))
-        assert cache.get_many([key]) == [None]
-        assert (tmp_path / "quarantine" / f"{key}.pkl").exists()
 
     def test_degraded_store_skips_quarantine_writes(self, tmp_path):
         _, keys = populated(tmp_path)

@@ -7,6 +7,7 @@ byte-for-byte the SIGTERM drain.
 """
 
 import json
+import socket
 import threading
 
 import pytest
@@ -107,6 +108,29 @@ class TestWireProtocol:
             )
         assert status == 400
         assert body["error_type"] == "SchemaError"
+
+    @pytest.mark.parametrize("length", ("abc", "-5"))
+    def test_bad_content_length_is_a_400_envelope(self, plane, length):
+        """A Content-Length that is not a non-negative decimal gets a
+        typed answer, never a silently closed socket (raw socket: the
+        client library always sends a valid length)."""
+        request = (
+            "POST /v1/payload HTTP/1.1\r\n"
+            "Host: localhost\r\n"
+            f"Content-Length: {length}\r\n"
+            "\r\n"
+        ).encode("latin-1")
+        with socket.create_connection(("127.0.0.1", plane.port), timeout=10.0) as sock:
+            sock.sendall(request)
+            response = b""
+            while chunk := sock.recv(65536):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        info = json.loads(body)
+        assert info["kind"] == "error_info"
+        assert info["error_type"] == "SchemaError"
+        assert "Content-Length" in info["message"]
 
     def test_schema_error_from_payload_is_permanent(self, plane):
         with plane.client() as client:
