@@ -6,12 +6,13 @@
 #   make serve-chaos - serving suite clean + under a serving fault matrix
 #   make bench-smoke - quick-mode batch-engine benchmark (ISSUE-1 gate)
 #   make bench       - full benchmark suite with reproduced paper tables
+#   make perfbench-smoke - every repo-benchmark workload for 2 s, answers checked
 #   make verify      - what CI runs
 
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: test lint chaos serve-chaos bench-smoke bench verify
+.PHONY: test lint chaos serve-chaos bench-smoke bench perfbench-smoke verify
 
 test:
 	python -m pytest -x -q
@@ -64,4 +65,16 @@ bench:
 	python -m pytest benchmarks/ -o python_files="bench_*.py" --benchmark-only -s
 	python -m pytest benchmarks/bench_batch_engine.py benchmarks/bench_cycle_compile.py benchmarks/bench_sweep_vectorized.py benchmarks/bench_cache_plane.py benchmarks/bench_device_plane.py benchmarks/bench_resilience.py benchmarks/bench_serving.py -q -s
 
-verify: lint test chaos bench-smoke
+# Repo benchmark smoke (perfbench/README.md): each workload runs briefly,
+# untraced; the target fails unless every result line reports checked
+# answers ("correct": true) and no failed request.
+PERFBENCH_WORKLOADS := grid-cold grid-rerun serve-open deep-eval
+
+perfbench-smoke:
+	@for workload in $(PERFBENCH_WORKLOADS); do \
+		python3 perfbench/run.py --workload $$workload --seed 1 --seconds 2 --trace 0 | tail -n 1 | \
+		python3 -c 'import json, sys; r = json.loads(sys.stdin.read()); print(sys.argv[1], "correct:", r["correct"], "failed:", r["failed"]); sys.exit(r["correct"] is not True or r["failed"] != 0)' $$workload \
+		|| exit 1; \
+	done
+
+verify: lint test chaos bench-smoke perfbench-smoke

@@ -1,9 +1,9 @@
 """Legacy setup shim.
 
-The offline build environment lacks the ``wheel`` package, so ``pip``
-cannot build PEP 660 editable wheels; this file lets ``pip install -e .``
-fall back to the classic ``setup.py develop`` path.  All metadata lives in
-``pyproject.toml``.
+All metadata lives in ``pyproject.toml``.  ``pip install -e .`` needs the
+``wheel`` package to build an editable wheel; where it is missing and
+cannot be fetched, ``python setup.py develop`` installs the ``src/``
+package in place from the same metadata.
 """
 
 from setuptools import setup

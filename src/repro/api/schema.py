@@ -712,7 +712,10 @@ class NetworkRequest:
         batch: samples streamed through the inter-layer pipeline.
         input_height / input_width: network input spatial size
             (1 for latent-vector generators).
-        seed: RNG seed for the synthesized network weights.
+        seed: RNG seed for the synthesized network weights.  Every
+            reported number depends on layer geometry only, so every
+            seed gives the same answer; the field stays on the wire for
+            v1/v2 compatibility.
     """
 
     network: str

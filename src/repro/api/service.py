@@ -339,21 +339,30 @@ class RedService:
     def evaluate_network(
         self, request: NetworkRequest, *, timeout: float | None = None
     ) -> NetworkResult:
-        """Evaluate every deconv layer of a named workload network."""
+        """Evaluate every deconv layer of a named workload network.
+
+        The layers come from
+        :func:`~repro.system.network_mapper.named_network_layers`, which
+        builds each ``(network, input_height, input_width)`` once per
+        process.  Every reported number depends on layer geometry only,
+        so ``request.seed`` (which seeds synthetic weights) cannot change
+        the answer; :meth:`network_evaluation` on a freshly built module
+        tree is the oracle this path is property-tested against.
+        """
         if not isinstance(request, NetworkRequest):
             raise SchemaError(
                 f"evaluate_network() takes a NetworkRequest, got {type(request).__name__}"
             )
         from repro.system.chip import provision_chip
+        from repro.system.network_mapper import named_network_layers
         from repro.system.pipeline import pipeline_network
-        from repro.workloads.networks import build_network
 
         designs = self._resolve_designs(request.designs)
         tech = request.resolved_tech(self.tech)
         try:
-            # The seed stays a plain int across the API boundary; the
-            # workloads module owns the seed-to-generator mapping.
-            network = build_network(request.network, seed=request.seed)
+            layers = named_network_layers(
+                request.network, request.input_height, request.input_width
+            )
         except KeyError as exc:
             raise SchemaError(exc.args[0] if exc.args else str(exc)) from exc
         # The roll-ups normalize against the baseline design, so evaluate
@@ -361,14 +370,8 @@ class RedService:
         # cache-shared); only the requested designs are reported.
         baseline = baseline_design()
         evaluated = designs if baseline in designs else (*designs, baseline)
-        evaluation = self.network_evaluation(
-            network,
-            request.input_height,
-            request.input_width,
-            tech=tech,
-            designs=evaluated,
-            timeout=timeout,
-        )
+        # A fresh list, so nothing downstream can mutate the memo.
+        evaluation = self._evaluate_layers(list(layers), tech, evaluated, timeout)
         layer_results = tuple(
             EvaluationResult(
                 layer=mapped.name,
@@ -579,11 +582,27 @@ class RedService:
         :func:`repro.system.network_mapper.evaluate_network`; returns a
         :class:`~repro.system.network_mapper.NetworkEvaluation`.
         """
-        from repro.system.network_mapper import NetworkEvaluation, extract_deconv_layers
+        from repro.system.network_mapper import extract_deconv_layers
 
-        tech = tech or self.tech or default_tech()
-        designs = self._resolve_designs(tuple(designs) if designs else ())
         layers = extract_deconv_layers(network, input_height, input_width)
+        return self._evaluate_layers(
+            layers,
+            tech or self.tech or default_tech(),
+            self._resolve_designs(tuple(designs) if designs else ()),
+            timeout,
+        )
+
+    def _evaluate_layers(
+        self,
+        layers: list,
+        tech: TechnologyParams,
+        designs: tuple[str, ...],
+        timeout: float | None,
+    ):
+        """Every design over ``layers`` as one job batch; the shared
+        body of :meth:`network_evaluation` and :meth:`evaluate_network`."""
+        from repro.system.network_mapper import NetworkEvaluation
+
         jobs = [
             DesignJob(design, mapped.spec, tech, layer_name=mapped.name)
             for design in designs

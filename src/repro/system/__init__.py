@@ -5,8 +5,9 @@ baseline it builds on) map whole networks onto one provisioned chip and
 pipeline the layers.  This package adds that level:
 
 * :mod:`repro.system.network_mapper` — walk a workload network, extract
-  every deconvolution layer with its activation shape, and evaluate all
-  three designs per layer and in aggregate.
+  every deconvolution layer with its activation shape (memoized per
+  Table I network by ``named_network_layers``), and evaluate all three
+  designs per layer and in aggregate.
 * :mod:`repro.system.pipeline` — ReGAN-style inter-layer pipelining:
   throughput set by the slowest stage, latency by the stage sum.
 * :mod:`repro.system.chip` — a fixed chip provisioning sized for a set of
@@ -21,6 +22,7 @@ from repro.system.network_mapper import (
     NetworkEvaluation,
     evaluate_network,
     extract_deconv_layers,
+    named_network_layers,
 )
 from repro.system.pipeline import PipelineReport, pipeline_network, pipeline_network_sweep
 
@@ -28,6 +30,7 @@ __all__ = [
     "MappedLayer",
     "NetworkEvaluation",
     "extract_deconv_layers",
+    "named_network_layers",
     "evaluate_network",
     "PipelineReport",
     "pipeline_network",
