@@ -4,38 +4,42 @@ Every payload that crosses the service boundary — CLI ``--json`` output,
 :class:`~repro.api.service.RedService` arguments and results, exported
 records — is one of the frozen dataclasses below.  Each type:
 
-* carries a ``schema_version`` field (:data:`SCHEMA_VERSION`) so readers
-  can reject payloads from an unsupported API generation — every
+* carries a ``schema_version`` field (:data:`SCHEMA_VERSION`); every
   version in :data:`SUPPORTED_SCHEMA_VERSIONS` still parses, and a
   parsed payload keeps the version it arrived with so v1 round-trips
   stay v1 (:func:`downgrade_payload` rewrites v2 trees for v1 readers);
-* round-trips exactly: ``T.from_dict(t.to_dict()) == t``, including
-  through ``json.dumps``/``json.loads`` (property-tested in
-  ``tests/api/test_schema.py``);
-* validates strictly — wrong version, unknown keys, missing required
-  keys and malformed values all raise
-  :class:`~repro.errors.SchemaError`, never produce a half-built object.
+* round-trips exactly: ``T.from_dict(t.to_dict()) == t``, also through
+  JSON (``tests/api/test_schema.py``; the bytes are pinned by
+  ``tests/api/test_wire_golden.py``);
+* is encoded and decoded by one codec (:class:`_Payload`), compiled
+  once per class from its dataclass fields and resolved type hints.
 
-``to_dict`` emits JSON-native values only (dicts, lists, strings,
-numbers, booleans, ``None``); ``from_dict`` restores the frozen tuple
-forms.  The generic :func:`payload_from_dict` dispatches on the
-``"kind"`` discriminator every ``to_dict`` embeds.
+Decode contract (``from_dict`` and :func:`payload_from_dict`):
+
+* the required keys are the fields without a default, plus
+  ``schema_version`` for a kinded payload; unknown keys are rejected;
+* values are type-checked, never coerced: ``"5"`` and ``true`` are not
+  numbers, ``5.5`` is not an int, ``5`` is not a string, a string is
+  not a list, and ``null`` fits only an optional field.  A ``float``
+  field accepts an int and keeps it;
+* every failure — also a wrong kind or version, or a ``__post_init__``
+  range check (these guard Python construction too) — raises
+  :class:`~repro.errors.SchemaError`, never another exception and never
+  a half-built object.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, fields
+import functools
+import types
+import typing
+from dataclasses import dataclass, field, fields
 
-from repro.arch.breakdown import (
-    AreaBreakdown,
-    DesignMetrics,
-    EnergyBreakdown,
-    LatencyBreakdown,
-)
+from repro.arch.breakdown import DesignMetrics
 from repro.arch.tech import TechnologyParams, default_tech
 from repro.deconv.shapes import DeconvSpec
-from repro.errors import SchemaError
+from repro.errors import ReproError, SchemaError
 from repro.eval.parallel import CycleStats
 
 #: The current request/response schema generation.  Bump on any change
@@ -50,65 +54,211 @@ SUPPORTED_SCHEMA_VERSIONS = frozenset({1, 2})
 
 _TECH_FIELDS = frozenset(f.name for f in fields(TechnologyParams))
 
+#: ``kind`` discriminator -> payload class, for :func:`payload_from_dict`.
+#: Filled by the ``class X(_Payload, kind=...)`` declarations below.
+PAYLOAD_KINDS: dict[str, type] = {}
+
+#: Wire key order of leaf classes whose fields are declared in another
+#: order (every other class emits its fields in declaration order).
+_WIRE_ORDER = {
+    DesignMetrics: ("design", "layer", "cycles", "latency", "energy", "area"),
+}
+
 
 # ----------------------------------------------------------------------
-# Strict payload plumbing
+# The codec
 # ----------------------------------------------------------------------
-def _require_mapping(payload, kind: str) -> dict:
-    if not isinstance(payload, dict):
-        raise SchemaError(f"{kind} payload must be a mapping, got {type(payload).__name__}")
-    return payload
+class _Payload:
+    """Base of every schema dataclass: ``to_dict``/``from_dict`` from fields.
+
+    ``class X(_Payload, kind="x")`` declares a wire payload, dispatched
+    through :data:`PAYLOAD_KINDS`.  Its encoding starts with ``kind`` and
+    ``schema_version``, then the fields in declaration order (but see
+    :data:`_WIRE_ORDER`); tuples become lists, ``(name, value)`` pairs
+    mappings.  A class without a kind is a row inside a versioned
+    envelope.  Field metadata: ``since`` is the version that introduced
+    the key (:func:`downgrade_payload` drops it for older readers);
+    ``omit_default`` leaves the key out while it holds its default.
+    """
+
+    _kind = None
+
+    def __init_subclass__(cls, kind: str | None = None, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._kind = kind
+        if kind is not None:
+            PAYLOAD_KINDS[kind] = cls
+        # Each class owns its codec methods, so wrapping one class's
+        # (a tracer's span, say) leaves the others alone.
+        for name in ("to_dict", "from_dict"):
+            setattr(cls, name, _Payload.__dict__[name])
+
+    def to_dict(self) -> dict:
+        """This payload as JSON-native mappings, lists and scalars."""
+        return _encoder(type(self))(self)
+
+    @classmethod
+    def from_dict(cls, payload):
+        """Strictly rebuild an instance; malformed input raises SchemaError."""
+        return _decoder(cls)(payload)
 
 
-def _check_keys(payload: dict, kind: str, required: frozenset, optional: frozenset) -> None:
-    keys = set(payload)
-    missing = required - keys
-    if missing:
-        raise SchemaError(f"{kind} payload is missing keys {sorted(missing)}")
-    unknown = keys - required - optional
-    if unknown:
-        raise SchemaError(f"{kind} payload has unknown keys {sorted(unknown)}")
+_UNIONS = (typing.Union, types.UnionType)
+#: Scalar hint -> the wire types it accepts (``bool`` never passes as a number).
+_ACCEPTS = {
+    str: (str,), int: (int,), float: (int, float), bool: (bool,),
+    type(None): (type(None),),
+}
 
 
-def _check_version(payload: dict, kind: str) -> None:
-    version = payload.get("schema_version")
-    if version not in SUPPORTED_SCHEMA_VERSIONS:
-        raise SchemaError(
-            f"{kind} payload has schema_version {version!r}; "
-            f"this library speaks versions {sorted(SUPPORTED_SCHEMA_VERSIONS)}"
-        )
+def _value_encoder(hint):
+    """Field value -> JSON converter, or ``None`` when it is JSON already."""
+    if dataclasses.is_dataclass(hint):
+        return _encoder(hint)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in _UNIONS:
+        options = [a for a in args if a is not type(None)]
+        inner = _value_encoder(options[0]) if len(options) == 1 else None
+        if inner is None:
+            return None
+        return lambda value: None if value is None else inner(value)
+    if origin is tuple:
+        if typing.get_origin(args[0]) is tuple:  # (name, value) pairs
+            return dict
+        inner = _value_encoder(args[0])
+        return list if inner is None else (lambda value: [inner(v) for v in value])
+    return None
+
+
+def _value_decoder(hint, where: str):
+    """Wire value -> field value, raising SchemaError on a type mismatch."""
+    if hint is object:
+        return lambda value: value
+    if dataclasses.is_dataclass(hint):
+        return _decoder(hint)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    options = args if origin in _UNIONS else (hint,)
+    if all(option in _ACCEPTS for option in options):
+        accepted = tuple(t for option in options for t in _ACCEPTS[option])
+        bool_ok = bool in options
+        expected = getattr(hint, "__name__", str(hint))
+
+        def decode_scalar(value):
+            if isinstance(value, accepted) and (bool_ok or type(value) is not bool):
+                return value
+            raise SchemaError(f"{where} must be {expected}, got {value!r}")
+
+        return decode_scalar
+    if origin in _UNIONS:  # an optional nested dataclass
+        (inner,) = [a for a in args if a is not type(None)]
+        inner = _value_decoder(inner, where)
+        return lambda value: None if value is None else inner(value)
+    if origin is not tuple:
+        raise TypeError(f"the schema codec cannot decode {hint!r} ({where})")
+    if typing.get_origin(args[0]) is tuple:  # (name, value) pairs
+        key_hint, value_hint = typing.get_args(args[0])
+        key = _value_decoder(key_hint, f"{where} key")
+        item = _value_decoder(value_hint, f"{where} value")
+
+        def decode_pairs(value):
+            if not isinstance(value, dict):
+                raise SchemaError(f"{where} must be a mapping, got {value!r}")
+            return tuple(sorted([(key(k), item(v)) for k, v in value.items()]))
+
+        return decode_pairs
+    item = _value_decoder(args[0], f"{where} item")
+
+    def decode_items(value):
+        if not isinstance(value, (list, tuple)):
+            raise SchemaError(f"{where} must be a list, got {value!r}")
+        return tuple([item(v) for v in value])
+
+    return decode_items
+
+
+@functools.cache
+def _encoder(cls):
+    """The compiled ``to_dict`` of one dataclass (built once per class)."""
+    kind = getattr(cls, "_kind", None)
+    hints = typing.get_type_hints(cls)
+    names = [f.name for f in fields(cls) if f.name != "schema_version"]
+    plan = [(name, _value_encoder(hints[name])) for name in _WIRE_ORDER.get(cls, names)]
+    omitted = {f.name: f.default for f in fields(cls) if f.metadata.get("omit_default")}
+
+    def encode(obj) -> dict:
+        wire = {"kind": kind, "schema_version": obj.schema_version} if kind else {}
+        for name, convert in plan:
+            value = getattr(obj, name)
+            if name in omitted and value == omitted[name]:
+                continue
+            wire[name] = value if convert is None else convert(value)
+        return wire
+
+    return encode
+
+
+@functools.cache
+def _decoder(cls):
+    """The compiled ``from_dict`` of one dataclass (built once per class)."""
+    kind = getattr(cls, "_kind", None)
+    label = kind or cls.__name__
+    hints = typing.get_type_hints(cls)
+    decoders = {
+        f.name: _value_decoder(hints[f.name], f"{label}.{f.name}") for f in fields(cls)
+    }
+    required = {
+        f.name for f in fields(cls)
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    }
+    allowed = set(decoders)
+    if kind:
+        required.add("schema_version")
+        allowed.add("kind")
+
+    def decode(payload):
+        if not isinstance(payload, dict):
+            raise SchemaError(f"{label} payload must be a mapping, got {type(payload).__name__}")
+        if kind:
+            declared = payload.get("kind", kind)
+            if declared != kind:
+                raise SchemaError(f"expected a {kind!r} payload, got kind {declared!r}")
+            _check_instance_version(kind, payload.get("schema_version"))
+        keys = payload.keys()
+        if not required <= keys:
+            raise SchemaError(f"{label} payload is missing keys {sorted(required - keys)}")
+        if not keys <= allowed:
+            raise SchemaError(f"{label} payload has unknown keys {sorted(keys - allowed, key=str)}")
+        values = {
+            name: decoders[name](value) for name, value in payload.items() if name != "kind"
+        }
+        try:
+            return cls(**values)
+        except (TypeError, ValueError, ReproError) as exc:
+            raise SchemaError(f"invalid {label} payload: {exc}") from exc
+
+    return decode
 
 
 def _check_instance_version(kind: str, version) -> None:
-    if version not in SUPPORTED_SCHEMA_VERSIONS:
+    if type(version) is not int or version not in SUPPORTED_SCHEMA_VERSIONS:
         raise SchemaError(
             f"{kind} schema_version {version!r} is not one of the "
             f"supported versions {sorted(SUPPORTED_SCHEMA_VERSIONS)}"
         )
 
 
-def _check_kind(payload: dict, kind: str) -> None:
-    declared = payload.get("kind", kind)
-    if declared != kind:
-        raise SchemaError(f"expected a {kind!r} payload, got kind {declared!r}")
-
-
 def _normalize_overrides(overrides) -> tuple[tuple[str, object], ...]:
     """Tech overrides as a sorted, hashable, validated tuple of pairs."""
     if overrides is None:
         return ()
-    if isinstance(overrides, dict):
-        items = overrides.items()
-    else:
-        try:
-            items = [(k, v) for k, v in overrides]
-        except (TypeError, ValueError):
-            raise SchemaError(
-                f"tech_overrides must be a mapping or (name, value) pairs, "
-                f"got {overrides!r}"
-            ) from None
-    normalized = []
-    for name, value in sorted(items):
+    try:
+        items = tuple(sorted(dict(overrides).items()))
+    except (TypeError, ValueError):
+        raise SchemaError(
+            f"tech_overrides must be a mapping or (name, value) pairs, "
+            f"got {overrides!r}"
+        ) from None
+    for name, value in items:
         if name not in _TECH_FIELDS:
             raise SchemaError(
                 f"unknown TechnologyParams field {name!r} in tech_overrides"
@@ -117,115 +267,28 @@ def _normalize_overrides(overrides) -> tuple[tuple[str, object], ...]:
             raise SchemaError(
                 f"tech_overrides[{name!r}] must be a number or bool, got {value!r}"
             )
-        normalized.append((name, value))
-    return tuple(normalized)
+    return items
 
 
-def _resolve_tech(
-    overrides: tuple[tuple[str, object], ...], base: TechnologyParams | None = None
-) -> TechnologyParams:
-    base = base or default_tech()
-    if not overrides:
-        return base
-    return dataclasses.replace(base, **dict(overrides))
+class _TechOverrides:
+    """``resolved_tech`` for the requests that carry ``tech_overrides``."""
+
+    def resolved_tech(self, base: TechnologyParams | None = None) -> TechnologyParams:
+        """The concrete technology after applying the overrides."""
+        base = base or default_tech()
+        if not self.tech_overrides:
+            return base
+        return dataclasses.replace(base, **dict(self.tech_overrides))
 
 
-# ----------------------------------------------------------------------
-# Leaf serializers: spec, metrics, cycle stats
-# ----------------------------------------------------------------------
 def spec_to_dict(spec: DeconvSpec) -> dict:
     """A :class:`DeconvSpec` as a flat JSON mapping."""
-    return {f.name: getattr(spec, f.name) for f in fields(spec)}
-
-
-def spec_from_dict(payload) -> DeconvSpec:
-    """Rebuild a :class:`DeconvSpec`; shape errors become SchemaError."""
-    payload = _require_mapping(payload, "spec")
-    names = frozenset(f.name for f in fields(DeconvSpec))
-    required = frozenset(
-        f.name for f in fields(DeconvSpec)
-        if f.default is dataclasses.MISSING
-    )
-    _check_keys(payload, "spec", required, names - required)
-    try:
-        return DeconvSpec(**payload)
-    except Exception as exc:
-        raise SchemaError(f"invalid spec payload: {exc}") from exc
-
-
-def _breakdown_to_dict(breakdown) -> dict:
-    return breakdown.as_dict()
-
-
-def _breakdown_from_dict(payload, cls):
-    payload = _require_mapping(payload, cls.__name__)
-    names = frozenset(f.name for f in fields(cls))
-    _check_keys(payload, cls.__name__, frozenset(), names)
-    try:
-        return cls(**{k: float(v) for k, v in payload.items()})
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"invalid {cls.__name__} payload: {exc}") from exc
+    return _encoder(DeconvSpec)(spec)
 
 
 def metrics_to_dict(metrics: DesignMetrics) -> dict:
     """A :class:`DesignMetrics` as nested JSON mappings."""
-    return {
-        "design": metrics.design,
-        "layer": metrics.layer,
-        "cycles": metrics.cycles,
-        "latency": _breakdown_to_dict(metrics.latency),
-        "energy": _breakdown_to_dict(metrics.energy),
-        "area": _breakdown_to_dict(metrics.area),
-    }
-
-
-def metrics_from_dict(payload) -> DesignMetrics:
-    """Rebuild a :class:`DesignMetrics` from :func:`metrics_to_dict`."""
-    payload = _require_mapping(payload, "metrics")
-    _check_keys(
-        payload,
-        "metrics",
-        frozenset({"design", "layer", "cycles", "latency", "energy", "area"}),
-        frozenset(),
-    )
-    return DesignMetrics(
-        design=str(payload["design"]),
-        layer=str(payload["layer"]),
-        cycles=int(payload["cycles"]),
-        latency=_breakdown_from_dict(payload["latency"], LatencyBreakdown),
-        energy=_breakdown_from_dict(payload["energy"], EnergyBreakdown),
-        area=_breakdown_from_dict(payload["area"], AreaBreakdown),
-    )
-
-
-def cycle_stats_to_dict(stats: CycleStats) -> dict:
-    """A :class:`CycleStats` as a JSON mapping (counters become a dict)."""
-    return {
-        "design": stats.design,
-        "layer": stats.layer,
-        "fold": stats.fold,
-        "cycles": stats.cycles,
-        "counters": dict(stats.counters),
-    }
-
-
-def cycle_stats_from_dict(payload) -> CycleStats:
-    """Rebuild a :class:`CycleStats` from :func:`cycle_stats_to_dict`."""
-    payload = _require_mapping(payload, "cycle_stats")
-    _check_keys(
-        payload,
-        "cycle_stats",
-        frozenset({"design", "layer", "fold", "cycles", "counters"}),
-        frozenset(),
-    )
-    counters = _require_mapping(payload["counters"], "cycle_stats.counters")
-    return CycleStats(
-        design=str(payload["design"]),
-        layer=str(payload["layer"]),
-        fold=int(payload["fold"]),
-        cycles=int(payload["cycles"]),
-        counters=tuple(sorted((str(k), int(v)) for k, v in counters.items())),
-    )
+    return _encoder(DesignMetrics)(metrics)
 
 
 def _validate_fold(fold) -> None:
@@ -233,6 +296,23 @@ def _validate_fold(fold) -> None:
         return
     if isinstance(fold, bool) or not isinstance(fold, int) or fold < 1:
         raise SchemaError(f"fold must be a positive int, 'auto' or None, got {fold!r}")
+
+
+def _check_layer_or_spec(request) -> None:
+    if (request.layer is None) == (request.spec is None):
+        raise SchemaError(
+            "exactly one of 'layer' (a benchmark-layer name) or 'spec' "
+            "must be provided"
+        )
+    if request.spec is not None and not isinstance(request.spec, DeconvSpec):
+        raise SchemaError(f"spec must be a DeconvSpec, got {type(request.spec).__name__}")
+
+
+def _check_positive_ints(obj, *names: str) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise SchemaError(f"{name} must be a positive int, got {value!r}")
 
 
 def _tuple_of_str(value, label: str) -> tuple[str, ...]:
@@ -248,7 +328,7 @@ def _tuple_of_str(value, label: str) -> tuple[str, ...]:
 # Evaluation: one layer, N designs
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class EvaluationRequest:
+class EvaluationRequest(_TechOverrides, _Payload, kind="evaluation_request"):
     """Evaluate one layer across designs.
 
     Exactly one of ``layer`` (a Table I benchmark-layer name) or
@@ -279,65 +359,16 @@ class EvaluationRequest:
 
     def __post_init__(self) -> None:
         _check_instance_version("EvaluationRequest", self.schema_version)
-        if (self.layer is None) == (self.spec is None):
-            raise SchemaError(
-                "exactly one of 'layer' (a benchmark-layer name) or 'spec' "
-                "must be provided"
-            )
-        if self.spec is not None and not isinstance(self.spec, DeconvSpec):
-            raise SchemaError(f"spec must be a DeconvSpec, got {type(self.spec).__name__}")
+        _check_layer_or_spec(self)
         _validate_fold(self.fold)
         object.__setattr__(self, "designs", _tuple_of_str(self.designs, "designs"))
         object.__setattr__(
             self, "tech_overrides", _normalize_overrides(self.tech_overrides)
         )
 
-    def resolved_tech(self, base: TechnologyParams | None = None) -> TechnologyParams:
-        """The concrete technology after applying the overrides."""
-        return _resolve_tech(self.tech_overrides, base)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "evaluation_request",
-            "schema_version": self.schema_version,
-            "layer": self.layer,
-            "spec": None if self.spec is None else spec_to_dict(self.spec),
-            "designs": list(self.designs),
-            "fold": self.fold,
-            "tech_overrides": dict(self.tech_overrides),
-            "trace": self.trace,
-            "layer_name": self.layer_name,
-        }
-
-    @classmethod
-    def from_dict(cls, payload) -> "EvaluationRequest":
-        payload = _require_mapping(payload, "evaluation_request")
-        _check_kind(payload, "evaluation_request")
-        _check_version(payload, "evaluation_request")
-        _check_keys(
-            payload,
-            "evaluation_request",
-            frozenset({"schema_version"}),
-            frozenset(
-                {"kind", "layer", "spec", "designs", "fold", "tech_overrides",
-                 "trace", "layer_name"}
-            ),
-        )
-        spec = payload.get("spec")
-        return cls(
-            layer=payload.get("layer"),
-            spec=None if spec is None else spec_from_dict(spec),
-            designs=tuple(payload.get("designs", ())),
-            fold=payload.get("fold"),
-            tech_overrides=payload.get("tech_overrides", ()),
-            trace=bool(payload.get("trace", False)),
-            layer_name=str(payload.get("layer_name", "")),
-            schema_version=payload["schema_version"],
-        )
-
 
 @dataclass(frozen=True)
-class EvaluationResult:
+class EvaluationResult(_Payload, kind="evaluation_result"):
     """Per-design metrics (and optional cycle stats) for one layer.
 
     Attributes:
@@ -376,46 +407,12 @@ class EvaluationResult:
                 return metrics
         raise KeyError(f"design {design!r} not in result ({self.designs})")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "evaluation_result",
-            "schema_version": self.schema_version,
-            "layer": self.layer,
-            "designs": list(self.designs),
-            "metrics": [metrics_to_dict(m) for m in self.metrics],
-            "cycle_stats": [
-                None if s is None else cycle_stats_to_dict(s) for s in self.cycle_stats
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, payload) -> "EvaluationResult":
-        payload = _require_mapping(payload, "evaluation_result")
-        _check_kind(payload, "evaluation_result")
-        _check_version(payload, "evaluation_result")
-        _check_keys(
-            payload,
-            "evaluation_result",
-            frozenset({"schema_version", "layer", "designs", "metrics"}),
-            frozenset({"kind", "cycle_stats"}),
-        )
-        return cls(
-            layer=str(payload["layer"]),
-            designs=tuple(str(d) for d in payload["designs"]),
-            metrics=tuple(metrics_from_dict(m) for m in payload["metrics"]),
-            cycle_stats=tuple(
-                None if s is None else cycle_stats_from_dict(s)
-                for s in payload.get("cycle_stats", ())
-            ),
-            schema_version=payload["schema_version"],
-        )
-
 
 # ----------------------------------------------------------------------
 # Stride sweep
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class SweepRequest:
+class SweepRequest(_TechOverrides, _Payload, kind="sweep_request"):
     """The Sec. III-C stride-speedup sweep, parameterized.
 
     Attributes mirror :func:`repro.eval.sweeps.stride_speedup_sweep`.
@@ -441,60 +438,14 @@ class SweepRequest:
         _validate_fold(self.fold)
         if self.fold is None:
             raise SchemaError("sweep fold must be an int or 'auto', not None")
-        for name in ("input_size", "channels", "filters"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise SchemaError(f"{name} must be a positive int, got {value!r}")
+        _check_positive_ints(self, "input_size", "channels", "filters")
         object.__setattr__(
             self, "tech_overrides", _normalize_overrides(self.tech_overrides)
         )
 
-    def resolved_tech(self, base: TechnologyParams | None = None) -> TechnologyParams:
-        """The concrete technology after applying the overrides."""
-        return _resolve_tech(self.tech_overrides, base)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "sweep_request",
-            "schema_version": self.schema_version,
-            "strides": list(self.strides),
-            "input_size": self.input_size,
-            "channels": self.channels,
-            "filters": self.filters,
-            "fold": self.fold,
-            "tech_overrides": dict(self.tech_overrides),
-        }
-
-    @classmethod
-    def from_dict(cls, payload) -> "SweepRequest":
-        payload = _require_mapping(payload, "sweep_request")
-        _check_kind(payload, "sweep_request")
-        _check_version(payload, "sweep_request")
-        _check_keys(
-            payload,
-            "sweep_request",
-            frozenset({"schema_version"}),
-            frozenset(
-                {"kind", "strides", "input_size", "channels", "filters", "fold",
-                 "tech_overrides"}
-            ),
-        )
-        kwargs = {
-            name: payload[name]
-            for name in ("strides", "input_size", "channels", "filters", "fold")
-            if name in payload
-        }
-        if "strides" in kwargs:
-            kwargs["strides"] = tuple(kwargs["strides"])
-        return cls(
-            tech_overrides=payload.get("tech_overrides", ()),
-            schema_version=payload["schema_version"],
-            **kwargs,
-        )
-
 
 @dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(_Payload):
     """One measured stride of the sweep (mirrors ``StrideSweepPoint``)."""
 
     stride: int
@@ -503,25 +454,9 @@ class SweepPoint:
     cycles_zp: int
     speedup: float
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, payload) -> "SweepPoint":
-        payload = _require_mapping(payload, "sweep_point")
-        names = frozenset(f.name for f in fields(cls))
-        _check_keys(payload, "sweep_point", names, frozenset())
-        return cls(
-            stride=int(payload["stride"]),
-            modes=int(payload["modes"]),
-            cycles_red=int(payload["cycles_red"]),
-            cycles_zp=int(payload["cycles_zp"]),
-            speedup=float(payload["speedup"]),
-        )
-
 
 @dataclass(frozen=True)
-class ErrorInfo:
+class ErrorInfo(_Payload, kind="error_info"):
     """A failure, as it travels on the wire.
 
     The error envelope the serving plane round-trips: enough to
@@ -538,7 +473,9 @@ class ErrorInfo:
     message: str
     retryable: bool = False
     source: str = ""
-    retry_after_s: float | None = None
+    retry_after_s: float | None = field(
+        default=None, metadata={"since": 2, "omit_default": True}
+    )
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
@@ -600,42 +537,9 @@ class ErrorInfo:
             retry_after_s=retry_after_s,
         )
 
-    def to_dict(self) -> dict:
-        payload = {
-            "kind": "error_info",
-            "schema_version": self.schema_version,
-            "error_type": self.error_type,
-            "message": self.message,
-            "retryable": self.retryable,
-            "source": self.source,
-        }
-        if self.retry_after_s is not None:
-            payload["retry_after_s"] = self.retry_after_s
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload) -> "ErrorInfo":
-        payload = _require_mapping(payload, "error_info")
-        _check_kind(payload, "error_info")
-        _check_version(payload, "error_info")
-        _check_keys(
-            payload,
-            "error_info",
-            frozenset({"schema_version", "error_type", "message"}),
-            frozenset({"kind", "retryable", "source", "retry_after_s"}),
-        )
-        return cls(
-            error_type=payload["error_type"],
-            message=payload["message"],
-            retryable=bool(payload.get("retryable", False)),
-            source=str(payload.get("source", "")),
-            retry_after_s=payload.get("retry_after_s"),
-            schema_version=payload["schema_version"],
-        )
-
 
 @dataclass(frozen=True)
-class SweepResult:
+class SweepResult(_Payload, kind="sweep_result"):
     """The measured stride-speedup curve, possibly partial.
 
     Attributes:
@@ -644,14 +548,17 @@ class SweepResult:
         fitted_exponent: least-squares ``b`` of ``speedup ~ stride^b``,
             or ``None`` when fewer than two strides exceed 1.
         failures: :class:`ErrorInfo` per failed stride (empty on a full
-            result).  Partial-result semantics: when non-empty, the
-            sweep completed for the strides in ``points`` and failed
-            for those named in each failure's ``source``.
+            result, and then absent from the wire).  Partial-result
+            semantics: when non-empty, the sweep completed for the
+            strides in ``points`` and failed for those named in each
+            failure's ``source``.
     """
 
     points: tuple[SweepPoint, ...]
     fitted_exponent: float | None = None
-    failures: tuple[ErrorInfo, ...] = ()
+    failures: tuple[ErrorInfo, ...] = field(
+        default=(), metadata={"omit_default": True}
+    )
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
@@ -665,44 +572,12 @@ class SweepResult:
                 )
         object.__setattr__(self, "failures", failures)
 
-    def to_dict(self) -> dict:
-        payload = {
-            "kind": "sweep_result",
-            "schema_version": self.schema_version,
-            "points": [p.to_dict() for p in self.points],
-            "fitted_exponent": self.fitted_exponent,
-        }
-        if self.failures:
-            payload["failures"] = [f.to_dict() for f in self.failures]
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload) -> "SweepResult":
-        payload = _require_mapping(payload, "sweep_result")
-        _check_kind(payload, "sweep_result")
-        _check_version(payload, "sweep_result")
-        _check_keys(
-            payload,
-            "sweep_result",
-            frozenset({"schema_version", "points"}),
-            frozenset({"kind", "fitted_exponent", "failures"}),
-        )
-        exponent = payload.get("fitted_exponent")
-        return cls(
-            points=tuple(SweepPoint.from_dict(p) for p in payload["points"]),
-            fitted_exponent=None if exponent is None else float(exponent),
-            failures=tuple(
-                ErrorInfo.from_dict(f) for f in payload.get("failures", ())
-            ),
-            schema_version=payload["schema_version"],
-        )
-
 
 # ----------------------------------------------------------------------
 # Whole-network evaluation
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class NetworkRequest:
+class NetworkRequest(_TechOverrides, _Payload, kind="network_request"):
     """Evaluate every deconv layer of a named workload network.
 
     Attributes:
@@ -731,10 +606,7 @@ class NetworkRequest:
         _check_instance_version("NetworkRequest", self.schema_version)
         if not isinstance(self.network, str) or not self.network:
             raise SchemaError(f"network must be a non-empty string, got {self.network!r}")
-        for name in ("batch", "input_height", "input_width"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise SchemaError(f"{name} must be a positive int, got {value!r}")
+        _check_positive_ints(self, "batch", "input_height", "input_width")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
             raise SchemaError(f"seed must be a non-negative int, got {self.seed!r}")
         object.__setattr__(self, "designs", _tuple_of_str(self.designs, "designs"))
@@ -742,53 +614,9 @@ class NetworkRequest:
             self, "tech_overrides", _normalize_overrides(self.tech_overrides)
         )
 
-    def resolved_tech(self, base: TechnologyParams | None = None) -> TechnologyParams:
-        """The concrete technology after applying the overrides."""
-        return _resolve_tech(self.tech_overrides, base)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "network_request",
-            "schema_version": self.schema_version,
-            "network": self.network,
-            "designs": list(self.designs),
-            "batch": self.batch,
-            "input_height": self.input_height,
-            "input_width": self.input_width,
-            "seed": self.seed,
-            "tech_overrides": dict(self.tech_overrides),
-        }
-
-    @classmethod
-    def from_dict(cls, payload) -> "NetworkRequest":
-        payload = _require_mapping(payload, "network_request")
-        _check_kind(payload, "network_request")
-        _check_version(payload, "network_request")
-        _check_keys(
-            payload,
-            "network_request",
-            frozenset({"schema_version", "network"}),
-            frozenset(
-                {"kind", "designs", "batch", "input_height", "input_width", "seed",
-                 "tech_overrides"}
-            ),
-        )
-        kwargs = {
-            name: payload[name]
-            for name in ("batch", "input_height", "input_width", "seed")
-            if name in payload
-        }
-        return cls(
-            network=str(payload["network"]),
-            designs=tuple(payload.get("designs", ())),
-            tech_overrides=payload.get("tech_overrides", ()),
-            schema_version=payload["schema_version"],
-            **kwargs,
-        )
-
 
 @dataclass(frozen=True)
-class NetworkDesignSummary:
+class NetworkDesignSummary(_Payload):
     """End-to-end roll-up of one design over a whole network.
 
     Attributes:
@@ -812,23 +640,9 @@ class NetworkDesignSummary:
     throughput_per_s: float
     chip_area_m2: float
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, payload) -> "NetworkDesignSummary":
-        payload = _require_mapping(payload, "network_design_summary")
-        names = frozenset(f.name for f in fields(cls))
-        _check_keys(payload, "network_design_summary", names, frozenset())
-        values = {name: payload[name] for name in names}
-        values["design"] = str(values["design"])
-        for name in names - {"design"}:
-            values[name] = float(values[name])
-        return cls(**values)
-
 
 @dataclass(frozen=True)
-class NetworkResult:
+class NetworkResult(_Payload, kind="network_result"):
     """Whole-network evaluation: per-layer metrics plus design roll-ups.
 
     Attributes:
@@ -860,52 +674,12 @@ class NetworkResult:
                 return summary
         raise KeyError(f"design {design!r} not in result ({self.designs})")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "network_result",
-            "schema_version": self.schema_version,
-            "network": self.network,
-            "batch": self.batch,
-            "layers": list(self.layers),
-            "designs": list(self.designs),
-            "layer_results": [r.to_dict() for r in self.layer_results],
-            "summaries": [s.to_dict() for s in self.summaries],
-        }
-
-    @classmethod
-    def from_dict(cls, payload) -> "NetworkResult":
-        payload = _require_mapping(payload, "network_result")
-        _check_kind(payload, "network_result")
-        _check_version(payload, "network_result")
-        _check_keys(
-            payload,
-            "network_result",
-            frozenset(
-                {"schema_version", "network", "batch", "layers", "designs",
-                 "layer_results", "summaries"}
-            ),
-            frozenset({"kind"}),
-        )
-        return cls(
-            network=str(payload["network"]),
-            batch=int(payload["batch"]),
-            layers=tuple(str(n) for n in payload["layers"]),
-            designs=tuple(str(n) for n in payload["designs"]),
-            layer_results=tuple(
-                EvaluationResult.from_dict(r) for r in payload["layer_results"]
-            ),
-            summaries=tuple(
-                NetworkDesignSummary.from_dict(s) for s in payload["summaries"]
-            ),
-            schema_version=payload["schema_version"],
-        )
-
 
 # ----------------------------------------------------------------------
 # Device-fidelity frontier: accuracy vs energy vs drift, per design
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class FidelityRequest:
+class FidelityRequest(_TechOverrides, _Payload, kind="fidelity_request"):
     """Monte-Carlo device-fidelity sweep over one layer.
 
     Exactly one of ``layer`` or ``spec`` must be given (same contract as
@@ -950,13 +724,7 @@ class FidelityRequest:
 
     def __post_init__(self) -> None:
         _check_instance_version("FidelityRequest", self.schema_version)
-        if (self.layer is None) == (self.spec is None):
-            raise SchemaError(
-                "exactly one of 'layer' (a benchmark-layer name) or 'spec' "
-                "must be provided"
-            )
-        if self.spec is not None and not isinstance(self.spec, DeconvSpec):
-            raise SchemaError(f"spec must be a DeconvSpec, got {type(self.spec).__name__}")
+        _check_layer_or_spec(self)
         try:
             seeds = tuple(int(s) for s in self.seeds)
         except (TypeError, ValueError):
@@ -978,87 +746,17 @@ class FidelityRequest:
         rate = self.stuck_at_rate
         if not isinstance(rate, (int, float)) or isinstance(rate, bool) or not 0 <= rate <= 1:
             raise SchemaError(f"stuck_at_rate must be in [0, 1], got {rate!r}")
-        if self.adc_bits is not None and (
-            not isinstance(self.adc_bits, int)
-            or isinstance(self.adc_bits, bool)
-            or self.adc_bits < 1
-        ):
-            raise SchemaError(f"adc_bits must be a positive int or None, got {self.adc_bits!r}")
-        for name in ("max_rows", "max_cols"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise SchemaError(f"{name} must be a positive int, got {value!r}")
+        if self.adc_bits is not None:
+            _check_positive_ints(self, "adc_bits")
+        _check_positive_ints(self, "max_rows", "max_cols")
         object.__setattr__(self, "designs", _tuple_of_str(self.designs, "designs"))
         object.__setattr__(
             self, "tech_overrides", _normalize_overrides(self.tech_overrides)
         )
 
-    def resolved_tech(self, base: TechnologyParams | None = None) -> TechnologyParams:
-        """The concrete technology after applying the overrides."""
-        return _resolve_tech(self.tech_overrides, base)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "fidelity_request",
-            "schema_version": self.schema_version,
-            "layer": self.layer,
-            "spec": None if self.spec is None else spec_to_dict(self.spec),
-            "designs": list(self.designs),
-            "seeds": list(self.seeds),
-            "times": list(self.times),
-            "nu": self.nu,
-            "programming_sigma": self.programming_sigma,
-            "read_noise_sigma": self.read_noise_sigma,
-            "stuck_at_rate": self.stuck_at_rate,
-            "adc_bits": self.adc_bits,
-            "max_rows": self.max_rows,
-            "max_cols": self.max_cols,
-            "tech_overrides": dict(self.tech_overrides),
-            "layer_name": self.layer_name,
-        }
-
-    @classmethod
-    def from_dict(cls, payload) -> "FidelityRequest":
-        payload = _require_mapping(payload, "fidelity_request")
-        _check_kind(payload, "fidelity_request")
-        _check_version(payload, "fidelity_request")
-        _check_keys(
-            payload,
-            "fidelity_request",
-            frozenset({"schema_version"}),
-            frozenset(
-                {"kind", "layer", "spec", "designs", "seeds", "times", "nu",
-                 "programming_sigma", "read_noise_sigma", "stuck_at_rate",
-                 "adc_bits", "max_rows", "max_cols", "tech_overrides",
-                 "layer_name"}
-            ),
-        )
-        spec = payload.get("spec")
-        kwargs = {
-            name: payload[name]
-            for name in (
-                "nu", "programming_sigma", "read_noise_sigma", "stuck_at_rate",
-                "adc_bits", "max_rows", "max_cols",
-            )
-            if name in payload
-        }
-        if "seeds" in payload:
-            kwargs["seeds"] = tuple(payload["seeds"])
-        if "times" in payload:
-            kwargs["times"] = tuple(payload["times"])
-        return cls(
-            layer=payload.get("layer"),
-            spec=None if spec is None else spec_from_dict(spec),
-            designs=tuple(payload.get("designs", ())),
-            tech_overrides=payload.get("tech_overrides", ()),
-            layer_name=str(payload.get("layer_name", "")),
-            schema_version=payload["schema_version"],
-            **kwargs,
-        )
-
 
 @dataclass(frozen=True)
-class FidelityPoint:
+class FidelityPoint(_Payload):
     """One Monte-Carlo sample of the frontier (mirrors
     :class:`~repro.eval.parallel.FidelityStats`, labels dropped)."""
 
@@ -1070,27 +768,9 @@ class FidelityPoint:
     max_abs_error: float
     stuck_fraction: float
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, payload) -> "FidelityPoint":
-        payload = _require_mapping(payload, "fidelity_point")
-        names = frozenset(f.name for f in fields(cls))
-        _check_keys(payload, "fidelity_point", names, frozenset())
-        return cls(
-            design=str(payload["design"]),
-            seed=int(payload["seed"]),
-            time_s=float(payload["time_s"]),
-            rms_error=float(payload["rms_error"]),
-            mean_abs_error=float(payload["mean_abs_error"]),
-            max_abs_error=float(payload["max_abs_error"]),
-            stuck_fraction=float(payload["stuck_fraction"]),
-        )
-
 
 @dataclass(frozen=True)
-class FidelityResult:
+class FidelityResult(_Payload, kind="fidelity_result"):
     """The accuracy-vs-energy-vs-drift frontier for one layer.
 
     Attributes:
@@ -1131,41 +811,12 @@ class FidelityResult:
                 return energy
         raise KeyError(f"design {design!r} not in result ({self.designs})")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "fidelity_result",
-            "schema_version": self.schema_version,
-            "layer": self.layer,
-            "designs": list(self.designs),
-            "energy_j": list(self.energy_j),
-            "points": [p.to_dict() for p in self.points],
-        }
-
-    @classmethod
-    def from_dict(cls, payload) -> "FidelityResult":
-        payload = _require_mapping(payload, "fidelity_result")
-        _check_kind(payload, "fidelity_result")
-        _check_version(payload, "fidelity_result")
-        _check_keys(
-            payload,
-            "fidelity_result",
-            frozenset({"schema_version", "layer", "designs", "energy_j", "points"}),
-            frozenset({"kind"}),
-        )
-        return cls(
-            layer=str(payload["layer"]),
-            designs=tuple(str(d) for d in payload["designs"]),
-            energy_j=tuple(float(e) for e in payload["energy_j"]),
-            points=tuple(FidelityPoint.from_dict(p) for p in payload["points"]),
-            schema_version=payload["schema_version"],
-        )
-
 
 # ----------------------------------------------------------------------
 # Generic CLI envelope
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class CommandPayload:
+class CommandPayload(_Payload, kind="command_result"):
     """Envelope for CLI subcommands without a dedicated result type.
 
     ``data`` must be a JSON-native tree (the CLI builds it that way);
@@ -1186,52 +837,6 @@ class CommandPayload:
             raise SchemaError(f"command must be a non-empty string, got {self.command!r}")
         object.__setattr__(self, "results", tuple(self.results))
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "command_result",
-            "schema_version": self.schema_version,
-            "command": self.command,
-            "data": self.data,
-            "results": [r.to_dict() for r in self.results],
-            "text": self.text,
-        }
-
-    @classmethod
-    def from_dict(cls, payload) -> "CommandPayload":
-        payload = _require_mapping(payload, "command_result")
-        _check_kind(payload, "command_result")
-        _check_version(payload, "command_result")
-        _check_keys(
-            payload,
-            "command_result",
-            frozenset({"schema_version", "command"}),
-            frozenset({"kind", "data", "results", "text"}),
-        )
-        return cls(
-            command=str(payload["command"]),
-            data=payload.get("data"),
-            results=tuple(
-                EvaluationResult.from_dict(r) for r in payload.get("results", ())
-            ),
-            text=str(payload.get("text", "")),
-            schema_version=payload["schema_version"],
-        )
-
-
-#: ``kind`` discriminator -> payload class, for :func:`payload_from_dict`.
-PAYLOAD_KINDS: dict[str, type] = {
-    "evaluation_request": EvaluationRequest,
-    "evaluation_result": EvaluationResult,
-    "sweep_request": SweepRequest,
-    "sweep_result": SweepResult,
-    "network_request": NetworkRequest,
-    "network_result": NetworkResult,
-    "fidelity_request": FidelityRequest,
-    "fidelity_result": FidelityResult,
-    "command_result": CommandPayload,
-    "error_info": ErrorInfo,
-}
-
 
 def payload_from_dict(payload):
     """Rebuild any schema object from its ``to_dict`` form.
@@ -1239,9 +844,10 @@ def payload_from_dict(payload):
     Dispatches on the embedded ``"kind"`` discriminator; unknown or
     missing kinds raise :class:`~repro.errors.SchemaError`.
     """
-    payload = _require_mapping(payload, "api")
+    if not isinstance(payload, dict):
+        raise SchemaError(f"api payload must be a mapping, got {type(payload).__name__}")
     kind = payload.get("kind")
-    cls = PAYLOAD_KINDS.get(kind)
+    cls = PAYLOAD_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise SchemaError(
             f"unknown payload kind {kind!r}; expected one of {sorted(PAYLOAD_KINDS)}"
@@ -1249,13 +855,22 @@ def payload_from_dict(payload):
     return cls.from_dict(payload)
 
 
+#: Wire key -> the schema version that introduced it (``since`` metadata).
+_SINCE = {
+    f.name: f.metadata["since"]
+    for cls in _Payload.__subclasses__()
+    for f in fields(cls)
+    if "since" in f.metadata
+}
+
+
 def _downgrade_tree(node, version: int):
     if isinstance(node, dict):
-        rewritten = {}
-        for key, value in node.items():
-            if version < 2 and key == "retry_after_s":
-                continue
-            rewritten[key] = _downgrade_tree(value, version)
+        rewritten = {
+            key: _downgrade_tree(value, version)
+            for key, value in node.items()
+            if _SINCE.get(key, 1) <= version
+        }
         if "schema_version" in rewritten:
             rewritten["schema_version"] = version
         return rewritten
@@ -1270,12 +885,15 @@ def downgrade_payload(wire, version: int) -> dict:
     The serving front door answers a client at the schema version the
     client spoke: this recursively stamps ``schema_version=version`` on
     every nested payload mapping and drops keys that generation cannot
-    parse (``retry_after_s`` below version 2), so a strict v1
-    ``from_dict`` accepts the result.  The input tree is not mutated.
+    parse (a field whose ``since`` metadata is newer, such as
+    ``retry_after_s`` below version 2), so a strict v1 ``from_dict``
+    accepts the result.  The input tree is not mutated.
     """
     if version not in SUPPORTED_SCHEMA_VERSIONS:
         raise SchemaError(
             f"cannot downgrade to schema_version {version!r}; supported "
             f"versions are {sorted(SUPPORTED_SCHEMA_VERSIONS)}"
         )
-    return _downgrade_tree(_require_mapping(wire, "api"), version)
+    if not isinstance(wire, dict):
+        raise SchemaError(f"api payload must be a mapping, got {type(wire).__name__}")
+    return _downgrade_tree(wire, version)

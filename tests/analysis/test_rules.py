@@ -116,18 +116,20 @@ class TestSchemaRule:
 
     SCHEMA_VERSION = 1
 
+    class _Payload:
+        pass
+
     @dataclass(frozen=True)
-    class Request:
+    class Request(_Payload, kind="request"):
         schema_version: int = SCHEMA_VERSION
 
-        def to_dict(self):
-            return {"kind": "request", "schema_version": self.schema_version}
-
     @dataclass(frozen=True)
-    class Row:
+    class Row(_Payload):
         value: float = 0.0
 
-    PAYLOAD_KINDS = {"request": Request}
+    @dataclass(frozen=True)
+    class DerivedRequest(Request, kind="derived"):
+        extra: int = 0
     """
 
     def test_clean_schema_module(self, tmp_path):
@@ -142,18 +144,18 @@ class TestSchemaRule:
         assert rules_hit(report) == {"RED002"}
         assert "not frozen" in report.findings[0].message
 
+    def test_dataclass_outside_the_codec_flagged(self, tmp_path):
+        source = self.CLEAN.replace("class Row(_Payload):", "class Row:")
+        report = run_on(tmp_path, {"src/repro/api/schema.py": source})
+        assert rules_hit(report) == {"RED002"}
+        assert "_Payload" in report.findings[0].message
+
     def test_kind_without_schema_version_flagged(self, tmp_path):
         source = self.CLEAN.replace("schema_version: int = SCHEMA_VERSION", "other: int = 0")
-        source = source.replace('"schema_version": self.schema_version', '"other": self.other')
         report = run_on(tmp_path, {"src/repro/api/schema.py": source})
         assert rules_hit(report) == {"RED002"}
-        assert "schema_version" in report.findings[0].message
-
-    def test_kind_missing_from_dispatch_table_flagged(self, tmp_path):
-        source = self.CLEAN.replace('PAYLOAD_KINDS = {"request": Request}', "PAYLOAD_KINDS = {}")
-        report = run_on(tmp_path, {"src/repro/api/schema.py": source})
-        assert rules_hit(report) == {"RED002"}
-        assert "PAYLOAD_KINDS" in report.findings[0].message
+        assert {f.message.split()[1] for f in report.findings} == {"Request", "DerivedRequest"}
+        assert all("schema_version" in f.message for f in report.findings)
 
     def test_rule_only_covers_schema_module(self, tmp_path):
         report = run_on(

@@ -5,7 +5,10 @@ after a real ``json.dumps``/``json.loads`` cycle, which is what the CLI
 ``--json`` path and any cross-process consumer actually do.
 """
 
+import copy
 import json
+from functools import reduce
+from operator import getitem
 
 import pytest
 from hypothesis import given, settings
@@ -367,9 +370,10 @@ class TestStrictValidation:
         with pytest.raises(SchemaError, match="kind"):
             NetworkRequest.from_dict(payload)
 
-    def test_unknown_kind_rejected(self):
+    @pytest.mark.parametrize("kind", ("mystery", [], {}, 5, None))
+    def test_unknown_kind_rejected(self, kind):
         with pytest.raises(SchemaError, match="unknown payload kind"):
-            payload_from_dict({"kind": "mystery", "schema_version": SCHEMA_VERSION})
+            payload_from_dict({"kind": kind, "schema_version": SCHEMA_VERSION})
 
     def test_non_mapping_rejected(self):
         with pytest.raises(SchemaError):
@@ -617,3 +621,85 @@ class TestSchemaV2:
 
         with pytest.raises(SchemaError):
             downgrade_payload(SweepRequest(strides=(2,)).to_dict(), 0)
+
+
+# ----------------------------------------------------------------------
+# Mutation fuzz: a malformed wire gets SchemaError, never another error
+# ----------------------------------------------------------------------
+REPLACEMENTS = ("5", 5, 5.5, True, None, [], {}, "", [1], {"a": 1})
+EVALUATION = EvaluationRequest(layer="GAN_Deconv1")
+DELETE = object()
+
+
+def key_paths(node, path=()):
+    """Every key path below ``node``, through nested mappings and lists."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield (*path, key)
+        yield from key_paths(value, (*path, key))
+
+
+def mutants(wire: dict):
+    """``wire`` with one key deleted, one unknown key added, or one value
+    replaced by each of :data:`REPLACEMENTS` — at every key path."""
+    text = json.dumps(wire)
+    paths = list(key_paths(wire))
+    for *head, last in paths:
+        for replacement in (DELETE, *REPLACEMENTS):
+            mutant = json.loads(text)
+            parent = reduce(getitem, head, mutant)
+            if replacement is DELETE:
+                del parent[last]
+            else:
+                parent[last] = copy.deepcopy(replacement)
+            yield mutant
+    for path in [(), *paths]:
+        mutant = json.loads(text)
+        node = reduce(getitem, path, mutant)
+        if isinstance(node, dict):
+            node["surprise"] = 1
+            yield mutant
+
+
+class TestMutationFuzz:
+    @settings(max_examples=25, deadline=None)
+    @given(all_payloads)
+    def test_mutated_wire_is_rejected_or_round_trips(self, payload):
+        for mutant in mutants(payload.to_dict()):
+            try:
+                decoded = payload_from_dict(mutant)
+            except SchemaError:
+                continue
+            wire = json.loads(json.dumps(decoded.to_dict()))
+            assert payload_from_dict(wire) == decoded
+
+    @pytest.mark.parametrize(
+        "payload, field, value",
+        [
+            (EVALUATION, "designs", "red"),  # not ('r', 'e', 'd')
+            (EVALUATION, "designs", 5),
+            (EVALUATION, "trace", 1),
+            (EVALUATION, "layer_name", 5),  # not "5"
+            (EVALUATION, "tech_overrides", None),
+            (EVALUATION, "tech_overrides", []),
+            (NetworkRequest(network="SNGAN"), "network", 5),
+            (SweepRequest(), "strides", [1.5]),  # not truncated to 1
+            (FidelityRequest(layer="GAN_Deconv1"), "seeds", ["3"]),
+            (ErrorInfo(error_type="E", message="m"), "retryable", 1),
+            (
+                NetworkResult(network="N", batch=1, layers=(), designs=(),
+                              layer_results=(), summaries=()),
+                "batch", 5.5,
+            ),
+        ],
+    )
+    def test_wire_values_are_not_coerced(self, payload, field, value):
+        wire = payload.to_dict()
+        wire[field] = value
+        with pytest.raises(SchemaError, match=field):
+            payload_from_dict(wire)

@@ -6,6 +6,7 @@ Every test here talks to a real :class:`~repro.serving.server.ServingServer`
 byte-for-byte the SIGTERM drain.
 """
 
+import gc
 import json
 import socket
 import threading
@@ -15,6 +16,7 @@ import pytest
 from repro.api.schema import (
     SCHEMA_VERSION,
     EvaluationRequest,
+    NetworkResult,
     SweepRequest,
     SweepResult,
 )
@@ -138,6 +140,46 @@ class TestWireProtocol:
                 client.call({"kind": "sweep_request", "schema_version": 99})
         assert caught.value.status == 400
         assert not caught.value.info.retryable
+
+
+#: Bodies whose decode once raised TypeError/ValueError instead of
+#: SchemaError: the exception escaped the front door and the client got
+#: no response at all.
+STRANDING_BODIES = {
+    "designs_not_a_list": {
+        "kind": "evaluation_request", "schema_version": SCHEMA_VERSION,
+        "layer": "GAN_Deconv1", "designs": 5,
+    },
+    "unhashable_kind": {"kind": [], "schema_version": SCHEMA_VERSION},
+    "batch_not_an_int": {
+        **NetworkResult(
+            network="SNGAN", batch=1, layers=(), designs=(),
+            layer_results=(), summaries=(),
+        ).to_dict(),
+        "batch": "",
+    },
+}
+
+
+class TestMalformedPayloads:
+    @pytest.fixture(scope="class")
+    def one_shard(self):
+        with configured_failpoints(None):
+            with ServerThread(num_shards=1, call_timeout_s=20.0) as running:
+                yield running
+
+    @pytest.mark.parametrize("name", sorted(STRANDING_BODIES))
+    def test_gets_a_400_schema_error(self, one_shard, asyncio_errors, name):
+        with one_shard.client(timeout=20.0) as client:
+            status, info = client._exchange(
+                "POST", "/v1/payload", body=json.dumps(STRANDING_BODIES[name]),
+                headers={"Content-Type": "application/json"},
+            )
+        assert status == 400
+        assert info["kind"] == "error_info"
+        assert info["error_type"] == "SchemaError"
+        gc.collect()
+        assert asyncio_errors.records == []
 
 
 class TestOverloadAndDeadline:
