@@ -11,8 +11,9 @@ stride-sweep grid (``bench_sweep_vectorized.build_grid``):
    :class:`~repro.eval.store.PackedSweepStore`): batched
    :func:`~repro.eval.parallel.job_keys` + one ``get_many`` against
    the in-memory LRU hit tier.  Also measured with the tier disabled
-   (``memory_entries=0``) to report the mmap/offset-index disk tier on
-   its own.
+   (``memory_entries=0``) to report the disk tier on its own: the
+   store's in-memory index over its segment files, one open per
+   touched segment per probe.
 
 Gate: packed warm must be **>= 3x** the cold vectorized jobs/s, with
 cold/warm/disk results *byte-identical* (per-element pickle bytes).  Measurements
@@ -94,7 +95,7 @@ def test_cache_plane_speedup(tmp_path):
             "1.00x",
         ),
         (
-            "packed warm, disk tier (mmap)",
+            "packed warm, disk tier (segments)",
             f"{t_disk * 1e3:.1f}",
             f"{len(jobs) / t_disk:.0f}",
             f"{t_cold / t_disk:.2f}x",

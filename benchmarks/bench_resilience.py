@@ -95,7 +95,7 @@ def test_disarmed_hooks_within_overhead_budget(tmp_path):
                 results = run_design_jobs(jobs, cache=disk)
             return results
 
-        warm_sweep()  # untimed: page cache, mmaps, compiled schedules
+        warm_sweep()  # untimed: page cache, compiled schedules
         with failpoints.hooks_bypassed():
             bypassed_results = warm_sweep()
         disarmed_results = warm_sweep()

@@ -2,9 +2,10 @@
 
 The packed sweep store is batch-first: runners probe once
 (``job_keys`` + ``get_many``) and publish once (``put_many``) per
-invocation — never per job.  Per-entry traffic re-opens the index,
-defeats the in-memory hit tier, and (for writes) publishes one index
-generation per entry instead of one per batch.  Inside ``repro/eval/``:
+invocation — never per job.  Per-entry traffic re-checks the store
+directory on every miss, defeats the in-memory hit tier, and (for
+writes) publishes one segment file per entry instead of one per
+batch, each of which every later open scans.  Inside ``repro/eval/``:
 
 * no single-entry ``cache.get(...)`` / ``store.put(...)`` calls — the
   scalar wrappers exist only as compatibility surface on the stores

@@ -82,9 +82,6 @@ class RedService:
         service_threads: thread-pool width for :meth:`submit`.
         max_sub_crossbars: SC budget used to resolve ``fold='auto'`` on
             cycle-level (trace) runs.
-        cycle_dtype: execution dtype of the fused cycle-level batch
-            executor (``"float64"`` — bit-identical to per-job engine
-            runs — or ``"float32"`` for throughput-bound sweeps).
         timeout: optional wall-clock budget in seconds, forwarded to
             every runner call the service makes; exceeding it raises
             :class:`~repro.errors.EvaluationTimeoutError`.
@@ -108,7 +105,6 @@ class RedService:
         tech: TechnologyParams | None = None,
         service_threads: int = 4,
         max_sub_crossbars: int = 128,
-        cycle_dtype: str = "float64",
         timeout: float | None = None,
         retry_policy: RetryPolicy | None = None,
         design_runner=None,
@@ -116,16 +112,15 @@ class RedService:
         if service_threads < 1:
             raise ParameterError(f"service_threads must be >= 1, got {service_threads}")
         # Coerce once: a path builds one PackedSweepStore for the
-        # service's whole lifetime, so every request shares its offset
-        # index, mmaps and in-memory LRU hit tier (re-coercing per call
-        # would reopen the store and defeat the memory tier).  A store
+        # service's whole lifetime, so every request shares its
+        # in-memory index and LRU hit tier (re-coercing per call would
+        # rescan the segments and defeat the memory tier).  A store
         # the service constructed itself is owned — close() releases it.
         self.cache = _coerce_cache(cache)
         self._owns_cache = self.cache is not None and self.cache is not cache
         self.tech = tech
         self.service_threads = service_threads
         self.max_sub_crossbars = max_sub_crossbars
-        self.cycle_dtype = cycle_dtype
         if timeout is not None and not timeout > 0:
             raise ParameterError(f"timeout must be > 0 seconds, got {timeout!r}")
         self.timeout = timeout
@@ -177,7 +172,6 @@ class RedService:
                     jobs,
                     cache=self.cache,
                     max_sub_crossbars=self.max_sub_crossbars,
-                    dtype=self.cycle_dtype,
                     timeout=self.timeout if timeout is None else timeout,
                     retry_policy=self.retry_policy,
                 )
@@ -448,8 +442,8 @@ class RedService:
         process-wide LRU (:func:`repro.sim.compiler.schedule_cache_info`);
         closing the service returns that memory.  A cache store the
         service constructed from a path is owned and closed too (its
-        mmaps and LRU tier are released; caller-provided stores are the
-        caller's to close).  After ``close()`` the service is retired:
+        LRU tier is released; caller-provided stores are the caller's to
+        close).  After ``close()`` the service is retired:
         :meth:`submit` raises
         :class:`~repro.errors.ServiceClosedError` instead of silently
         spinning up a fresh thread pool nothing will ever shut down.

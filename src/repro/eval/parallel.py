@@ -590,16 +590,12 @@ def _evaluate_metrics(jobs: list[DesignJob], deadline: Deadline) -> list:
 
 
 def _evaluate_cycles(
-    jobs: list[DesignJob],
-    deadline: Deadline,
-    *,
-    max_sub_crossbars: int,
-    dtype: str,
+    jobs: list[DesignJob], deadline: Deadline, *, max_sub_crossbars: int
 ) -> list[CycleStats]:
     """Unique trace misses as one fused :class:`BatchEngine` batch."""
     from repro.sim.batch import BatchEngine, BatchJob
 
-    engine = BatchEngine(max_sub_crossbars=max_sub_crossbars, dtype=dtype)
+    engine = BatchEngine(max_sub_crossbars=max_sub_crossbars)
     deadline.check("run_cycle_jobs (batch engine)")
     batch = engine.run(
         [
@@ -773,7 +769,6 @@ def run_cycle_jobs(
     jobs: list[DesignJob] | tuple[DesignJob, ...],
     cache: "PackedSweepStore | str | os.PathLike | None" = None,
     max_sub_crossbars: int = 128,
-    dtype: str = "float64",
     timeout: float | None = None,
     retry_policy: RetryPolicy | None = None,
 ) -> list[CycleStats | None]:
@@ -783,12 +778,11 @@ def run_cycle_jobs(
     entry — RED) through the :class:`~repro.sim.batch.BatchEngine` and
     returns :class:`CycleStats` per job, in job order; jobs whose design
     has no cycle engine yield ``None``.  All misses execute as one
-    fused batch — jobs sharing a ``(spec, fold)`` pair run stacked over
-    a single analytically compiled schedule — and ``dtype="float32"``
-    opts throughput-bound sweeps into single-precision execution (the
-    persisted :class:`CycleStats` are operand-independent either way).
-    Results persist under the ``"cycles"`` kind, so repeated traced
-    evaluations are near-free.
+    fused float64 batch — jobs sharing a ``(spec, fold)`` pair run
+    stacked over a single analytically compiled schedule.  The
+    persisted :class:`CycleStats` are operand-independent.  Results
+    persist under the ``"cycles"`` kind, so repeated traced evaluations
+    are near-free.
     """
     jobs = list(jobs)
     traceable = [
@@ -803,7 +797,6 @@ def run_cycle_jobs(
         timeout,
         retry_policy,
         max_sub_crossbars=max_sub_crossbars,
-        dtype=dtype,
     )
     results: list[CycleStats | None] = [None] * len(jobs)
     for index, value in zip(traceable, stats):

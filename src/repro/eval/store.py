@@ -1,4 +1,4 @@
-"""Packed sweep store: segment files, offset index, in-memory hit tier.
+"""Packed sweep store: self-describing segment files, in-memory hit tier.
 
 Why the cache needed its own engineering pass
 ---------------------------------------------
@@ -9,34 +9,35 @@ pair, one ``pickle.loads`` and one dataclass relabel, and every store
 paid one ``os.replace``.  This module is the storage tier built for
 batch traffic:
 
-- **Sharded append-only segments.**  ``put_many`` groups its entries by
-  key shard and appends each shard's records to one new immutable
-  segment file (``seg-<shard>-<unique>.seg``).  Records are
+- **One immutable segment per batch.**  ``put_many`` writes its whole
+  batch as one new segment file (``seg-<seq>-<unique>.seg``, written as
+  ``.part`` and then ``os.replace``d into place).  Records are
   self-describing (raw 32-byte key + payload length + pickled payload),
-  so segments double as a recovery log.
-- **Compact offset index, one atomic publish per batch.**  A single
-  ``index.bin`` file maps every key to ``(segment, offset, length)``:
-  a magic line, a JSON manifest naming the segment files, then fixed
-  48-byte binary rows.  A batch of writes becomes *one* temp-file +
-  ``os.replace`` publish, not one per entry.  Writers serialize the
-  read-merge-publish step through an advisory ``flock`` so concurrent
-  processes can share a store directory without losing entries
-  (``tests/eval/test_store.py``); readers never lock — ``os.replace``
-  gives them a consistent snapshot, and a stale in-memory index is
-  refreshed (one ``stat``) whenever a lookup misses.
-- **mmap reads.**  Payloads are sliced out of memory-mapped segments —
-  no per-hit ``open``/``read`` syscalls on a warm store.
+  so the segments are the store's only on-disk state: there is no
+  index file and no writer lock.  Concurrent processes sharing a
+  directory each add their own files, so none loses another's entries
+  (``tests/eval/test_store.py``).
+- **An in-memory index built from the segments.**  Opening a store
+  scans every segment's record headers, oldest first by (mtime, name),
+  so a key rewritten by a later batch wins; a truncated trailing record
+  is dropped.  A lookup miss re-lists the directory only when its mtime
+  moved (otherwise the check is one ``stat``) and scans just the
+  segments it has not seen; the store adds its own publishes directly.
+- **Tombstones.**  A payload that fails to decode is counted,
+  quarantined and dropped from the live index; the next publish leads
+  with a zero-length record for its key, so a later open does not
+  decode the bad record again.
+- **Reads.**  ``get_many`` opens each segment it touches once per call
+  and reads the slices it needs; no file descriptor outlives the call.
 - **Bounded in-memory LRU hit tier.**  Deserialized payloads are kept
   in an :class:`~collections.OrderedDict` capped at ``memory_entries``,
   so a repeated sweep never touches disk twice; ``memory_entries=0``
   disables the tier for pure disk measurements.
 
-The layout is deliberately batch-oriented: each publish rewrites the
-(compact, 48-bytes-per-entry) index and appends new segment files, so
-one sweep's worth of entries per ``put_many`` is the intended traffic
-shape.  A workload of many tiny single-entry publishes pays an index
-rewrite each time and accretes small segments; segment compaction is
-future work (see ROADMAP).
+The layout is deliberately batch-oriented: one sweep's worth of
+entries per ``put_many`` is the intended traffic shape.  A workload of
+many tiny single-entry publishes accretes small segments, each of which
+every later open scans; nothing compacts them.
 
 The store is key-addressed and payload-kind aware but job-agnostic at
 the batch layer: :func:`~repro.eval.parallel.job_keys` produces the
@@ -47,28 +48,19 @@ keys, and the runners of :mod:`repro.eval.parallel` drive
 
 from __future__ import annotations
 
-import json
-import mmap
 import os
 import pickle
 import struct
 import tempfile
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Sequence
-
-try:  # pragma: no cover - always available on the supported platforms
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None  # type: ignore[assignment]
 
 from repro.errors import CacheError, ParameterError
 from repro.eval.parallel import (
     _DECODE_ERRORS,
     _KIND_PAYLOADS,
-    CACHE_SCHEMA_VERSION,
     METRICS_KIND,
     DesignJob,
     job_key,
@@ -77,14 +69,12 @@ from repro.eval.parallel import (
 from repro.reliability import failpoints
 from repro.reliability.policy import RetryPolicy
 
-_INDEX_MAGIC = b"REDPACK1\n"
-#: Index row: raw key (32), segment id (u32), offset (u64), length (u32).
-_ROW = struct.Struct("<32sIQI")
-#: Segment record header: raw key (32), payload length (u32).
+#: Segment record header: raw key (32), payload length (u32).  A
+#: zero-length record is a tombstone: it drops the key.
 _RECORD = struct.Struct("<32sI")
 
-_INDEX_NAME = "index.bin"
-_LOCK_NAME = ".lock"
+#: Where a payload lives: ``(segment name, offset, length)``.
+Location = tuple[str, int, int]
 
 
 def _key_bytes(key: str) -> bytes:
@@ -102,20 +92,17 @@ class PackedSweepStore:
 
     Args:
         directory: store root; created if missing.
-        num_shards: how many logical shards ``put_many`` splits a batch
-            over (one segment file per touched shard per batch).
         memory_entries: LRU hit-tier capacity in entries (``0``
             disables the tier).
-        retry_policy: how transient ``OSError`` during the index
-            publish retries (defaults to the reliability plane's
-            default policy).  When retries exhaust — or the store
-            directory is unwritable at open — the store enters a
-            counted read-only *degraded mode*: lookups keep serving
-            (disk and memory tiers), new results still populate the
-            memory tier, but nothing is written to disk
-            (:attr:`degraded` / :attr:`degraded_puts`); ``refresh()``
-            re-probes writability and leaves degraded mode when the
-            directory recovers.
+        retry_policy: how transient ``OSError`` while writing a segment
+            retries (defaults to the reliability plane's default
+            policy).  When retries exhaust — or the store directory is
+            unwritable at open — the store enters a counted read-only
+            *degraded mode*: lookups keep serving (disk and memory
+            tiers), new results still populate the memory tier, but
+            nothing is written to disk (:attr:`degraded` /
+            :attr:`degraded_puts`); ``refresh()`` re-probes writability
+            and leaves degraded mode when the directory recovers.
 
     Statistics (``hits = memory_hits + disk_hits``, plus ``misses``,
     ``stores`` and ``corrupt``) are plain attributes.
@@ -125,19 +112,15 @@ class PackedSweepStore:
         self,
         directory: str | os.PathLike,
         *,
-        num_shards: int = 16,
         memory_entries: int = 65536,
         retry_policy: RetryPolicy | None = None,
     ) -> None:
-        if num_shards < 1:
-            raise ParameterError(f"num_shards must be >= 1, got {num_shards}")
         if memory_entries < 0:
             raise ParameterError(
                 f"memory_entries must be >= 0, got {memory_entries}"
             )
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.num_shards = num_shards
         self.memory_entries = memory_entries
         self.retry_policy = retry_policy or RetryPolicy()
         self.hits = 0
@@ -147,24 +130,21 @@ class PackedSweepStore:
         self.memory_hits = 0
         self.disk_hits = 0
         self.quarantined = 0
-        self.rebuilt_entries = 0
         self.degraded_puts = 0
         self.degraded = not os.access(self.directory, os.W_OK)
         self._lock = threading.Lock()
-        self._segments: list[str] = []
-        self._index: dict[bytes, tuple[int, int, int]] = {}
-        self._index_stamp: tuple[int, int] | None = None
-        self._mmaps: dict[str, mmap.mmap] = {}
+        #: Segment names already folded into :attr:`_index`.
+        self._segments: set[str] = set()
+        self._index: dict[bytes, Location] = {}
+        #: Directory mtime when it was last listed (or last changed by
+        #: this store's own publish).
+        self._stamp: int | None = None
         self._memory: OrderedDict[str, object] = OrderedDict()
-        #: Keys whose payload decoded as corrupt, mapped to the index
-        #: location observed bad: dropped from the live index
-        #: immediately and scrubbed from the on-disk index at the next
-        #: publish — but only while the disk index still points at the
-        #: same location, so another process's fresh rewrite of the key
-        #: is never deleted.
-        self._dead: dict[bytes, tuple[int, int, int]] = {}
+        #: Keys whose payload decoded as corrupt: the next publish
+        #: writes a tombstone for each.
+        self._dead: set[bytes] = set()
         with self._lock:
-            self._reload_index_locked()
+            self._rescan_locked()
 
     # ------------------------------------------------------------------
     # Batch protocol (what the runners of repro.eval.parallel speak)
@@ -174,26 +154,24 @@ class PackedSweepStore:
 
         Payloads come back exactly as stored; relabelling is the
         caller's concern.  Lookups hit the LRU tier first, then the
-        offset index + mmap'd segments; disk hits populate the tier so
-        the next sweep stays in memory.  A corrupt or shape-skewed
-        payload counts in :attr:`corrupt`, drops out of the live index
-        (so the slot is rewritten) and reads as a miss.
+        index and the segments; disk hits populate the tier so the next
+        sweep stays in memory.  A corrupt or shape-skewed payload
+        counts in :attr:`corrupt`, drops out of the live index (so the
+        slot is rewritten) and reads as a miss.
         """
         expected = _KIND_PAYLOADS[kind]
         results: list = [None] * len(keys)
-        # Phase 1 (tier lock): memory probes, index lookups, raw mmap
-        # slices.  In-batch duplicate keys share one pending slot so the
-        # payload is read and decoded once.
-        pending: dict[
-            str, tuple[bytes | None, bytes, tuple[int, int, int], list[int]]
-        ] = {}
+        # Phase 1 (tier lock): memory probes and index lookups.
+        # In-batch duplicate keys share one pending slot so the payload
+        # is read and decoded once.
+        pending: dict[str, tuple[bytes, Location, list[int]]] = {}
         with self._lock:
             memory = self._memory
             memory_get = memory.get
             move_to_end = memory.move_to_end
             served = 0
             missed = 0
-            reloaded = False
+            rescanned = False
             for position, key in enumerate(keys):
                 value = memory_get(key)
                 # The kind check mirrors the disk path: a kind-mismatched
@@ -205,39 +183,40 @@ class PackedSweepStore:
                     continue
                 slot = pending.get(key)
                 if slot is not None:
-                    slot[3].append(position)
+                    slot[2].append(position)
                     continue
                 raw = _key_bytes(key)
                 location = self._index.get(raw)
-                if location is None and not reloaded:
-                    # Another process may have published since we last
-                    # read the index — refresh at most once per call.
-                    reloaded = True
-                    if self._maybe_reload_index_locked():
+                if location is None and not rescanned:
+                    # Another process may have published since the last
+                    # listing — look at most once per call.
+                    rescanned = True
+                    if self._rescan_locked(force=False):
                         location = self._index.get(raw)
                 if location is None:
                     missed += 1
                     continue
-                pending[key] = (
-                    self._read_locked(location), raw, location, [position]
-                )
+                pending[key] = (raw, location, [position])
             self.hits += served
             self.memory_hits += served
             self.misses += missed
             if not pending:
                 return results
-        # Phase 2 (no lock): deserialize — the expensive part — without
-        # serializing other threads' probes.  mmap slices are copies, so
-        # they stay valid outside the lock.
+        # Phase 2 (no lock): read and deserialize — the expensive part —
+        # without serializing other threads' probes.  Segments are
+        # immutable, so the locations stay valid outside the lock.
+        payloads = self._read_payloads([slot[1] for slot in pending.values()])
         decoded: list[tuple[str, object, list[int]]] = []
-        corrupt: list[tuple[bytes, tuple[int, int, int]]] = []
+        corrupt: list[tuple[bytes, Location]] = []
         unreadable = 0
-        for key, (payload, raw, location, positions) in pending.items():
+        for (key, (raw, location, positions)), payload in zip(
+            pending.items(), payloads
+        ):
             if payload is None:
-                # The segment could not be opened/sliced (transient I/O,
-                # fd pressure, racing cleanup).  That is a plain miss —
-                # the on-disk bytes may be perfectly valid, so the entry
-                # must NOT be scrubbed as corrupt.
+                # The segment could not be opened or read (transient
+                # I/O, racing cleanup).  That is a plain miss — the
+                # on-disk bytes may be perfectly valid, so the entry
+                # must NOT be discarded as corrupt.
                 unreadable += len(positions)
                 continue
             payload = failpoints.corrupted("store.get_many", payload, raw)
@@ -268,10 +247,8 @@ class PackedSweepStore:
     ) -> int:
         """Persist ``(key, payload)`` pairs as one batch.
 
-        The whole batch becomes at most ``num_shards`` new segment
-        files and exactly one atomic index publish, serialized against
-        concurrent writers by the store's advisory file lock.  Returns
-        the number of entries written.
+        The whole batch becomes one new segment file.  Returns the
+        number of entries written.
         """
         expected = _KIND_PAYLOADS[kind]
         serialized: list[tuple[bytes, bytes]] = []
@@ -352,7 +329,6 @@ class PackedSweepStore:
             "stores": self.stores,
             "corrupt": self.corrupt,
             "quarantined": self.quarantined,
-            "rebuilt_entries": self.rebuilt_entries,
             "degraded": int(self.degraded),
             "degraded_puts": self.degraded_puts,
             "indexed_entries": len(self),
@@ -361,25 +337,19 @@ class PackedSweepStore:
         }
 
     def refresh(self) -> None:
-        """Re-read the on-disk index (picks up other writers' batches).
+        """Re-list the directory (picks up other writers' batches).
 
         Also re-probes directory writability: a store that fell into
         degraded mode leaves it here once the directory is writable
         again (the next ``put_many`` publishes normally).
         """
         with self._lock:
-            self._maybe_reload_index_locked()
+            self._rescan_locked()
         self.degraded = not os.access(self.directory, os.W_OK)
 
     def close(self) -> None:
-        """Release mmap'd segments and the memory tier (idempotent)."""
+        """Release the memory tier (idempotent)."""
         with self._lock:
-            for mapped in self._mmaps.values():
-                try:
-                    mapped.close()
-                except (OSError, ValueError):  # pragma: no cover - defensive
-                    pass
-            self._mmaps.clear()
             self._memory.clear()
 
     def __enter__(self) -> "PackedSweepStore":
@@ -389,214 +359,149 @@ class PackedSweepStore:
         self.close()
 
     # ------------------------------------------------------------------
-    # Index + segment machinery
+    # Segment machinery
     # ------------------------------------------------------------------
-    @property
-    def _index_path(self) -> Path:
-        return self.directory / _INDEX_NAME
-
-    @contextmanager
-    def _writer_lock(self):
-        """Advisory cross-process lock for read-merge-publish cycles."""
-        handle = open(self.directory / _LOCK_NAME, "ab")
+    def _directory_stamp(self) -> int | None:
         try:
-            if fcntl is not None:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            yield
-        finally:
-            if fcntl is not None:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-            handle.close()
-
-    def _read_index_file(
-        self,
-    ) -> tuple[list[str], dict[bytes, tuple[int, int, int]], tuple[int, int] | None]:
-        """``(segments, entries, stamp)`` from disk.
-
-        Empty when the index was written under a different schema
-        version (keys embed the schema, so stale entries could never
-        match anyway).  A *corrupt* index — bad magic, unparsable
-        manifest — or one missing while segment files exist is
-        recovered by :meth:`_rebuild_index_from_segments`: records are
-        self-describing, so the segments double as the recovery log.
-        Truncated trailing rows are simply dropped (every complete row
-        is still served).
-        """
-        path = self._index_path
-        try:
-            with open(path, "rb") as handle:
-                # fstat the open fd: os.replace swaps the inode, so
-                # stat-ing by path after reading could pair stale bytes
-                # with a newer file's stamp and freeze the staleness
-                # check.  The fd pins one inode — bytes and stamp are
-                # guaranteed to describe the same index generation.
-                stat = os.fstat(handle.fileno())
-                data = handle.read()
+            return os.stat(self.directory).st_mtime_ns
         except OSError:
-            segments, entries = self._rebuild_index_from_segments()
-            return segments, entries, None
-        stamp = (stat.st_mtime_ns, stat.st_size)
-        try:
-            if not data.startswith(_INDEX_MAGIC):
-                segments, entries = self._rebuild_index_from_segments()
-                return segments, entries, stamp
-            header_end = data.index(b"\n", len(_INDEX_MAGIC))
-            manifest = json.loads(data[len(_INDEX_MAGIC):header_end])
-            if manifest.get("schema") != CACHE_SCHEMA_VERSION:
-                # Deliberate invalidation, not corruption: do not
-                # resurrect old-schema entries from the segments.
-                return [], {}, stamp
-            segments = [str(name) for name in manifest["segments"]]
-            rows = data[header_end + 1 :]
-            usable = len(rows) - len(rows) % _ROW.size
-            entries = {
-                key: (segment, offset, length)
-                for key, segment, offset, length in _ROW.iter_unpack(rows[:usable])
-            }
-        except (ValueError, KeyError, TypeError, struct.error):
-            segments, entries = self._rebuild_index_from_segments()
-            return segments, entries, stamp
-        return segments, entries, stamp
+            return None
 
-    def _rebuild_index_from_segments(
-        self,
-    ) -> tuple[list[str], dict[bytes, tuple[int, int, int]]]:
-        """Recover the index by scanning the self-describing segments.
+    def _rescan_locked(self, force: bool = True) -> bool:
+        """Fold segments not seen yet into the index; ``True`` if any.
 
-        Each record carries its own ``(raw key, payload length)``
-        header, so a lost or corrupt ``index.bin`` costs nothing but
-        this scan.  Segments are replayed oldest-first (mtime, then
-        name) so a key rewritten in a later batch wins, mirroring the
-        merge order of normal publishes; a truncated trailing record is
-        dropped.  Returns ``([], {})`` for a store with no segments —
-        i.e. a genuinely fresh directory rebuilds to empty.
+        Unless ``force``d, an unchanged directory mtime skips the
+        listing.  New segments are read oldest first by (mtime, name),
+        so a later record for a key overrides an earlier one and a
+        tombstone drops it.
         """
-        stamped: list[tuple[int, str]] = []
-        for path in self.directory.glob("seg-*.seg"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            stamped.append((stat.st_mtime_ns, path.name))
-        stamped.sort()
-        segments = [name for _, name in stamped]
-        entries: dict[bytes, tuple[int, int, int]] = {}
-        for segment_id, name in enumerate(segments):
-            try:
-                data = (self.directory / name).read_bytes()
-            except OSError:
-                continue
-            offset = 0
-            while offset + _RECORD.size <= len(data):
-                raw, length = _RECORD.unpack_from(data, offset)
-                offset += _RECORD.size
-                if offset + length > len(data):
-                    break
-                entries[raw] = (segment_id, offset, length)
-                offset += length
-        self.rebuilt_entries = len(entries)
-        return segments, entries
-
-    def _reload_index_locked(self) -> None:
-        self._segments, self._index, self._index_stamp = self._read_index_file()
-
-    def _maybe_reload_index_locked(self) -> bool:
-        """Refresh the in-memory index if the file changed on disk."""
-        try:
-            stat = self._index_path.stat()
-            stamp = (stat.st_mtime_ns, stat.st_size)
-        except OSError:
-            stamp = None
-        if stamp == self._index_stamp:
+        stamp = self._directory_stamp()
+        if not force and stamp == self._stamp:
             return False
-        self._reload_index_locked()
-        return True
+        fresh: list[tuple[int, str]] = []
+        try:
+            with os.scandir(self.directory) as listing:
+                for entry in listing:
+                    name = entry.name
+                    if (
+                        name in self._segments
+                        or not name.startswith("seg-")
+                        or not name.endswith(".seg")
+                    ):
+                        continue
+                    try:
+                        fresh.append((entry.stat().st_mtime_ns, name))
+                    except OSError:
+                        continue
+        except OSError:
+            return False
+        self._stamp = stamp
+        fresh.sort()
+        for _, name in fresh:
+            self._segments.add(name)
+            self._index_segment_locked(name)
+        return bool(fresh)
+
+    def _index_segment_locked(self, name: str) -> None:
+        """Index every complete record of one segment."""
+        try:
+            data = (self.directory / name).read_bytes()
+        except OSError:
+            return
+        index = self._index
+        offset = 0
+        while offset + _RECORD.size <= len(data):
+            raw, length = _RECORD.unpack_from(data, offset)
+            offset += _RECORD.size
+            if offset + length > len(data):
+                break  # truncated trailing record
+            if length:
+                index[raw] = (name, offset, length)
+            else:
+                index.pop(raw, None)
+            offset += length
+
+    def _read_payloads(self, locations: list[Location]) -> list[bytes | None]:
+        """Payload bytes per location, ``None`` where unreadable.
+
+        Each segment is opened once, however many slices it serves, and
+        closed before the next one is opened.
+        """
+        by_segment: dict[str, list[int]] = {}
+        for slot, (name, _, _) in enumerate(locations):
+            by_segment.setdefault(name, []).append(slot)
+        payloads: list[bytes | None] = [None] * len(locations)
+        for name, slots in by_segment.items():
+            try:
+                fd = os.open(self.directory / name, os.O_RDONLY)
+            except OSError:
+                continue
+            try:
+                for slot in slots:
+                    _, offset, length = locations[slot]
+                    payload = os.pread(fd, length, offset)
+                    if len(payload) == length:
+                        payloads[slot] = payload
+            except OSError:
+                pass
+            finally:
+                os.close(fd)
+        return payloads
 
     def _publish(self, serialized: list[tuple[bytes, bytes]]) -> bool:
-        """Append a batch to new segments and publish the merged index.
+        """Write a batch as one new segment and index it.
 
-        Transient ``OSError`` (real or injected — the
-        ``store.put_many`` / ``store.index.publish`` failpoints fire
-        inside the retried section) retries per :attr:`retry_policy`
-        with deterministic backoff; segments written by a failed
-        attempt are never referenced by any index, so a retry can only
-        orphan bytes, never corrupt state.  When retries exhaust the
+        Tombstones for keys seen corrupt lead the segment, so a key the
+        batch rewrites stays live.  Transient ``OSError`` (real or
+        injected by the ``store.put_many`` failpoint) retries per
+        :attr:`retry_policy` with deterministic backoff; a failed
+        attempt leaves no file a scan reads.  When retries exhaust the
         store enters degraded mode and returns ``False`` — the caller
-        counts the skipped batch; the merged-index invariants are
-        untouched.
+        counts the skipped batch.
         """
+        with self._lock:
+            dead = sorted(self._dead)
+            seq = len(self._segments)
+            stamp = self._stamp
+        unchanged = stamp is not None and self._directory_stamp() == stamp
+        records = [(raw, b"") for raw in dead] + serialized
         policy = self.retry_policy
-        fail_token = serialized[0][0] if serialized else b""
+        fail_token = serialized[0][0]
         for attempt in range(1, policy.max_attempts + 1):
             try:
                 failpoints.inject("store.put_many", fail_token, attempt)
-                self._publish_once(serialized, fail_token, attempt)
-                return True
+                name, locations = self._write_segment(seq, records)
+                break
             except OSError:
                 if attempt >= policy.max_attempts:
                     self.degraded = True
                     return False
                 policy.sleeper(policy.delay_for(attempt))
-        return False  # pragma: no cover - loop always returns
-
-    def _publish_once(
-        self,
-        serialized: list[tuple[bytes, bytes]],
-        fail_token: bytes = b"",
-        attempt: int = 1,
-    ) -> None:
-        """One read-merge-publish cycle under the writer lock.
-
-        The on-disk index is re-read (another process may have
-        published since), the batch is appended as one segment per
-        touched shard, and the merged index replaces ``index.bin``
-        atomically.
-        """
         with self._lock:
-            dead = dict(self._dead)
-        with self._writer_lock():
-            segments, entries, _ = self._read_index_file()
-            # Scrub entries this store observed as corrupt — re-merging
-            # the on-disk index must not resurrect them.  Only the exact
-            # location seen bad is scrubbed (segment ids are append-only
-            # stable): if another process has since republished the key
-            # at a new location, that fresh entry survives.  A key both
-            # dead and rewritten in this batch is overwritten below.
-            for raw, location in dead.items():
-                if entries.get(raw) == location:
-                    del entries[raw]
-            by_shard: dict[int, list[tuple[bytes, bytes]]] = {}
-            for raw, payload in serialized:
-                by_shard.setdefault(raw[0] % self.num_shards, []).append(
-                    (raw, payload)
-                )
-            for shard in sorted(by_shard):
-                name, locations = self._write_segment(shard, by_shard[shard])
-                segments.append(name)
-                segment_id = len(segments) - 1
-                for raw, offset, length in locations:
-                    entries[raw] = (segment_id, offset, length)
-            failpoints.inject("store.index.publish", fail_token, attempt)
-            self._write_index(segments, entries)
-            try:
-                stat = self._index_path.stat()
-                stamp = (stat.st_mtime_ns, stat.st_size)
-            except OSError:  # pragma: no cover - we just wrote it
-                stamp = None
-        with self._lock:
-            self._segments = segments
-            self._index = entries
-            self._index_stamp = stamp
-            # The scrub is durable now; rewritten keys are live again.
-            for raw in dead:
-                self._dead.pop(raw, None)
+            self._segments.add(name)
+            for raw, offset, length in locations:
+                if length:
+                    self._index[raw] = (name, offset, length)
+            self._dead.difference_update(dead)
+            if unchanged and self._stamp == stamp:
+                # Nothing foreign had landed before this write, so the
+                # directory's new mtime is this store's own doing.  A
+                # segment landing meanwhile is missed until the next
+                # change or refresh(): at worst a recompute.
+                self._stamp = self._directory_stamp()
+        return True
 
     def _write_segment(
-        self, shard: int, records: list[tuple[bytes, bytes]]
+        self, seq: int, records: list[tuple[bytes, bytes]]
     ) -> tuple[str, list[tuple[bytes, int, int]]]:
-        """One immutable segment holding a batch's records for a shard."""
+        """One immutable segment holding a batch's records.
+
+        ``seq`` (how many segments the writer knew) orders segments
+        whose mtimes tie: a segment sorts after every one its writer
+        had seen.
+        """
         fd, tmp = tempfile.mkstemp(
-            dir=self.directory, prefix=f"seg-{shard:02x}-", suffix=".part"
+            dir=self.directory, prefix=f"seg-{seq:08x}-", suffix=".part"
         )
         locations: list[tuple[bytes, int, int]] = []
         try:
@@ -618,58 +523,12 @@ class PackedSweepStore:
             raise
         return os.path.basename(final), locations
 
-    def _write_index(
-        self, segments: list[str], entries: dict[bytes, tuple[int, int, int]]
-    ) -> None:
-        manifest = json.dumps(
-            {"schema": CACHE_SCHEMA_VERSION, "segments": segments},
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode("utf-8")
-        blob = bytearray(_INDEX_MAGIC)
-        blob += manifest
-        blob += b"\n"
-        pack = _ROW.pack
-        for raw, (segment, offset, length) in entries.items():
-            blob += pack(raw, segment, offset, length)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".idx.tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp, self._index_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def _read_locked(self, location: tuple[int, int, int]) -> bytes | None:
-        segment_id, offset, length = location
-        if segment_id >= len(self._segments):
-            return None
-        name = self._segments[segment_id]
-        mapped = self._mmaps.get(name)
-        if mapped is None:
-            try:
-                with open(self.directory / name, "rb") as handle:
-                    mapped = mmap.mmap(
-                        handle.fileno(), 0, access=mmap.ACCESS_READ
-                    )
-            except (OSError, ValueError):
-                return None
-            self._mmaps[name] = mapped
-        payload = mapped[offset : offset + length]
-        if len(payload) != length:
-            return None
-        return payload
-
     def _quarantine(self, raw: bytes, payload: bytes) -> None:
         """Preserve a corrupt payload under ``quarantine/<key>.bin``.
 
         Corrupt entries leave the lookup namespace (the live index drops
-        them, the next publish scrubs them) but their bytes are kept for
-        post-mortems instead of being destroyed.  Best-effort and
+        them, the next publish tombstones them) but their bytes are kept
+        for post-mortems instead of being destroyed.  Best-effort and
         read-only-safe: quarantine I/O failures never break a lookup,
         and nothing is written in degraded mode.
         """
@@ -683,20 +542,16 @@ class PackedSweepStore:
         except OSError:
             pass
 
-    def _discard_corrupt_locked(
-        self, raw: bytes, location: tuple[int, int, int]
-    ) -> None:
+    def _discard_corrupt_locked(self, raw: bytes, location: Location) -> None:
         """Count a bad payload and drop it from the live index so the
-        next publish rewrites the slot (segments are append-only — the
-        dead record is simply never referenced again).  The observed
-        location is remembered in :attr:`_dead` so the next publish
-        scrubs it from the on-disk index instead of re-merging it back
-        in (and only it — a concurrent rewrite at a new location is
-        left alone)."""
+        slot is rewritable; the next publish tombstones the key.  A key
+        the index has meanwhile moved to a fresh location is left
+        alone."""
         self.corrupt += 1
         self.misses += 1
-        self._index.pop(raw, None)
-        self._dead[raw] = location
+        if self._index.get(raw) == location:
+            del self._index[raw]
+            self._dead.add(raw)
 
     def _memory_insert_locked(self, key: str, value: object) -> None:
         if self.memory_entries == 0:

@@ -1,11 +1,10 @@
 """Process-wide deterministic failpoint registry.
 
 A *failpoint* is a named site in the substrate where a fault can be
-injected: ``store.put_many`` (a batch publish), ``store.index.publish``
-(the index ``os.replace``), ``store.get_many`` (a payload read) and the
-serving plane's ``serving.accept`` / ``serving.shard_call`` /
-``serving.merge``.  Sites are armed with a spec string, either
-programmatically::
+injected: ``store.put_many`` (a batch's segment write),
+``store.get_many`` (a payload read) and the serving plane's
+``serving.accept`` / ``serving.shard_call`` / ``serving.merge``.  Sites
+are armed with a spec string, either programmatically::
 
     configure_failpoints(
         "store.put_many:io_error@0.3;serving.shard_call:crash@0.1", seed=7

@@ -4,7 +4,7 @@ Each shard is a forked child running :func:`shard_worker_main`: a
 blocking request/response loop over a :mod:`multiprocessing` pipe.  The
 shard owns a private :class:`~repro.eval.store.PackedSweepStore` under
 ``<cache_dir>/shard-<index>`` — shared-nothing by construction, so the
-store's offset index, mmaps and LRU hit tier stay hot for exactly the
+store's in-memory index and LRU hit tier stay hot for exactly the
 key range the consistent-hash ring routes here, and no cross-process
 lock ever serializes the planes.
 

@@ -3,6 +3,8 @@
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.schema import (
     EvaluationRequest,
@@ -19,8 +21,10 @@ from repro.api.service import RedService
 from repro.arch.tech import default_tech
 from repro.deconv.shapes import DeconvSpec
 from repro.errors import SchemaError, ServiceClosedError, UnknownDesignError
-from repro.eval.parallel import CYCLES_KIND, DesignJob, evaluate_design_job, job_key
+from repro.eval.parallel import CYCLES_KIND, CycleStats, DesignJob, evaluate_design_job, job_key
 from repro.eval.store import PackedSweepStore
+from repro.sim.batch import BatchEngine, BatchJob
+from tests.conftest import deconv_specs
 
 SPEC = DeconvSpec(4, 4, 3, 4, 4, 2, stride=2, padding=1)
 
@@ -301,13 +305,28 @@ class TestScheduleCacheLifecycle:
         service.close()
         assert schedule_cache_info().size == 0
 
-    def test_float32_cycle_stats_match_float64(self, tmp_path):
-        request = EvaluationRequest(spec=SPEC, trace=True)
-        exact = RedService().evaluate(request)
-        fast = RedService(cycle_dtype="float32").evaluate(request)
-        # CycleStats hold schedule-level observables only, so the
-        # execution dtype must not change them.
-        assert fast.cycle_stats == exact.cycle_stats
+    @given(
+        spec=deconv_specs(max_input=5, max_kernel=5, max_stride=4),
+        fold=st.sampled_from((None, "auto", 1, 2, 3, 4)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_cycle_stats_match_the_batch_engine(self, spec, fold):
+        """Service CycleStats hold the fold, cycles and counters a
+        BatchEngine run reports for the same spec and fold (whatever
+        route the service takes to them)."""
+        request = EvaluationRequest(spec=spec, fold=fold, designs=("RED",), trace=True)
+        with RedService() as service:
+            (stats,) = service.evaluate(request).cycle_stats
+        (run,) = BatchEngine().run(
+            [BatchJob(spec, fold="auto" if fold is None else fold)]
+        ).results
+        assert stats == CycleStats(
+            design="RED",
+            layer=stats.layer,
+            fold=run.fold,
+            cycles=run.cycles,
+            counters=tuple(sorted(run.counters.items())),
+        )
 
 
 class TestOracleRouting:

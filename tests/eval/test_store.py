@@ -13,13 +13,19 @@ Covers the ISSUE-5 contracts:
   (call-count instrumentation).
 """
 
+import json
+import os
 import pickle
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.arch.tech import default_tech
 from repro.deconv.shapes import DeconvSpec
 from repro.errors import CacheError, ParameterError
@@ -38,7 +44,7 @@ from repro.eval.parallel import (
     run_cycle_jobs,
     run_design_jobs,
 )
-from repro.eval.store import PackedSweepStore
+from repro.eval.store import _RECORD, PackedSweepStore
 
 SPEC = DeconvSpec(4, 4, 3, 4, 4, 2, stride=2, padding=1)
 TECH = default_tech()
@@ -64,6 +70,22 @@ def synthetic_key(token: int) -> str:
     import hashlib
 
     return hashlib.sha256(f"synthetic-{token}".encode()).hexdigest()
+
+
+def flip_payloads(directory) -> None:
+    """Invert every payload byte of every segment record, leaving the
+    record headers (keys and lengths) intact."""
+    for segment in directory.glob("seg-*.seg"):
+        data = bytearray(segment.read_bytes())
+        offset = 0
+        while offset < len(data):
+            _, length = _RECORD.unpack_from(data, offset)
+            offset += _RECORD.size
+            data[offset : offset + length] = bytes(
+                byte ^ 0xFF for byte in data[offset : offset + length]
+            )
+            offset += length
+        segment.write_bytes(bytes(data))
 
 
 # ----------------------------------------------------------------------
@@ -217,8 +239,6 @@ class TestPackedStoreRoundTrip:
 
     def test_bad_parameters_rejected(self, tmp_path):
         with pytest.raises(ParameterError):
-            PackedSweepStore(tmp_path, num_shards=0)
-        with pytest.raises(ParameterError):
             PackedSweepStore(tmp_path, memory_entries=-1)
 
     def test_job_level_compat_api(self, tmp_path):
@@ -247,27 +267,27 @@ class TestCorruptHandling:
         key = synthetic_key(5)
         store.put_many([(key, stats_payload(5))], kind=CYCLES_KIND)
         store.close()
-        for segment in tmp_path.glob("*.seg"):
-            segment.write_bytes(b"\x00" * segment.stat().st_size)
+        flip_payloads(tmp_path)
         fresh = PackedSweepStore(tmp_path)
         assert fresh.get_many([key], kind=CYCLES_KIND) == [None]
         assert fresh.corrupt == 1
+        assert fresh.quarantined == 1
         # The slot is rewritable: a new publish supersedes the dead record.
         fresh.put_many([(key, stats_payload(6))], kind=CYCLES_KIND)
         assert fresh.get_many([key], kind=CYCLES_KIND)[0].cycles == 6
 
-    def test_discarded_corrupt_entry_scrubbed_at_next_publish(self, tmp_path):
-        # A publish of *other* keys must not resurrect an entry the
-        # store already observed as corrupt (the read-merge-publish
-        # cycle re-reads the on-disk index, which still lists it).
+    def test_corrupt_entry_tombstoned_at_next_publish(self, tmp_path):
+        # A publish of *other* keys writes a tombstone for an entry the
+        # store observed as corrupt, so a later open does not decode
+        # the bad record again.
         store = PackedSweepStore(tmp_path)
         bad, other = synthetic_key(1), synthetic_key(2)
         store.put_many([(bad, stats_payload(1))], kind=CYCLES_KIND)
         store.close()
-        for segment in tmp_path.glob("*.seg"):
-            segment.write_bytes(b"\x00" * segment.stat().st_size)
+        flip_payloads(tmp_path)
         fresh = PackedSweepStore(tmp_path)
         assert fresh.get_many([bad], kind=CYCLES_KIND) == [None]
+        assert (fresh.corrupt, fresh.quarantined) == (1, 1)
         fresh.put_many([(other, stats_payload(2))], kind=CYCLES_KIND)
         reopened = PackedSweepStore(tmp_path)
         assert bad not in reopened
@@ -389,6 +409,42 @@ class TestConcurrentWriters:
         assert [v.cycles for v in values] == expected
         assert store.misses == 0
 
+    def test_threads_sharing_one_store_lose_nothing(self, tmp_path):
+        # More threads than cores, forced to switch often: every
+        # publish lands in the shared index and on disk.
+        from concurrent.futures import ThreadPoolExecutor
+
+        store = PackedSweepStore(tmp_path, memory_entries=0)
+        threads, batches, per_batch = 8, 6, 4
+
+        def write(worker: int) -> None:
+            for batch in range(batches):
+                tokens = [worker * 1000 + batch * 10 + i for i in range(per_batch)]
+                store.put_many(
+                    [(synthetic_key(t), stats_payload(t)) for t in tokens],
+                    kind=CYCLES_KIND,
+                )
+                store.get_many([synthetic_key(t) for t in tokens], kind=CYCLES_KIND)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                for future in [pool.submit(write, w) for w in range(threads)]:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        total = threads * batches * per_batch
+        assert len(store) == total and store.misses == 0
+        assert store.stats()["segments"] == threads * batches
+        reopened = PackedSweepStore(tmp_path, memory_entries=0)
+        tokens = [
+            w * 1000 + b * 10 + i
+            for w in range(threads) for b in range(batches) for i in range(per_batch)
+        ]
+        values = reopened.get_many([synthetic_key(t) for t in tokens], kind=CYCLES_KIND)
+        assert [v.cycles for v in values] == tokens
+
 
 # ----------------------------------------------------------------------
 # Foreign files in the store directory
@@ -403,6 +459,81 @@ class TestForeignFiles:
         store = PackedSweepStore(tmp_path)
         assert len(store) == 0 and key not in store
         assert len(list(tmp_path.glob("*.pkl"))) == 2
+
+    def test_sharded_layout_with_index_file_serves_every_entry(self, tmp_path):
+        """A directory in the older layout (per-shard ``seg-<shard>-*``
+        segments beside an ``index.bin`` and a ``.lock``) serves every
+        record byte-identically; the index and lock files are foreign
+        and stay untouched, even across a publish."""
+        entries = [(synthetic_key(i), stats_payload(i)) for i in range(6)]
+        for start, shard in enumerate((0x00, 0x0A)):
+            blob = bytearray()
+            for key, value in entries[start::2]:
+                payload = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+                blob += _RECORD.pack(bytes.fromhex(key), len(payload)) + payload
+            (tmp_path / f"seg-{shard:02x}-legacy.seg").write_bytes(bytes(blob))
+        (tmp_path / "index.bin").write_bytes(b"REDPACK1\n{garbage")
+        (tmp_path / ".lock").write_bytes(b"")
+        foreign = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+        store = PackedSweepStore(tmp_path, memory_entries=0)
+        values = store.get_many([key for key, _ in entries], kind=CYCLES_KIND)
+        assert [pickle.dumps(v, pickle.HIGHEST_PROTOCOL) for v in values] == [
+            pickle.dumps(v, pickle.HIGHEST_PROTOCOL) for _, v in entries
+        ]
+        assert store.disk_hits == len(entries)
+        store.put_many([(synthetic_key(99), stats_payload(99))], kind=CYCLES_KIND)
+        assert {
+            name: (tmp_path / name).read_bytes() for name in foreign
+        } == foreign
+
+
+# ----------------------------------------------------------------------
+# File descriptors
+# ----------------------------------------------------------------------
+_FD_LIMITED_READ = """
+import hashlib, json, resource, sys
+
+soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+resource.setrlimit(resource.RLIMIT_NOFILE, (min(256, soft), hard))
+
+from repro.eval.parallel import CYCLES_KIND, CycleStats
+from repro.eval.store import PackedSweepStore
+
+directory, count = sys.argv[1], int(sys.argv[2])
+keys = [hashlib.sha256(str(i).encode()).hexdigest() for i in range(count)]
+writer = PackedSweepStore(directory, memory_entries=0)
+for i, key in enumerate(keys):
+    stats = CycleStats(design="RED", layer="L", fold=1, cycles=i, counters=())
+    writer.put_many([(key, stats)], kind=CYCLES_KIND)
+reader = PackedSweepStore(directory, memory_entries=0)
+values = reader.get_many(keys, kind=CYCLES_KIND)
+print(json.dumps({
+    "segments": reader.stats()["segments"],
+    "cycles": [None if v is None else v.cycles for v in values],
+    "disk_hits": reader.disk_hits,
+    "misses": reader.misses,
+}))
+"""
+
+
+def test_reads_hold_no_descriptor_per_segment(tmp_path):
+    """400 segments read in one call under a 256-descriptor limit: every
+    key is a disk hit, none an unreadable miss."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    count = 400
+    completed = subprocess.run(
+        [sys.executable, "-c", _FD_LIMITED_READ, str(tmp_path), str(count)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    report = json.loads(completed.stdout.strip().splitlines()[-1])
+    assert report["segments"] == count
+    assert report["cycles"] == list(range(count))
+    assert (report["disk_hits"], report["misses"]) == (count, 0)
 
 
 # ----------------------------------------------------------------------

@@ -116,9 +116,9 @@ class TestCacheLifecycle:
         first = run_design_jobs([job], cache=str(tmp_path))
         second = run_design_jobs([job], cache=tmp_path)
         assert pickle.dumps(first) == pickle.dumps(second)
-        # A path constructs the packed store: segments plus one index.
-        assert (tmp_path / "index.bin").exists()
-        assert len(list(tmp_path.glob("*.seg"))) >= 1
+        # A path constructs the packed store: one segment per publish
+        # (the second run hit), and no other file.
+        assert [path.suffix for path in tmp_path.iterdir()] == [".seg"]
         assert len(list(tmp_path.glob("*.pkl"))) == 0
 
     def test_duplicate_jobs_computed_once_with_labels_preserved(self, tmp_path):

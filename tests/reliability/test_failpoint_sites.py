@@ -1,13 +1,15 @@
-"""Every failpoint site the ``Makefile`` chaos matrices arm must exist.
+"""Every failpoint site the ``Makefile`` arms or the README catalogues
+must exist.
 
 Arming a site name that no call site uses is silent: nothing fires and
 nothing fails, so a fault matrix can keep naming deleted code and
 "pass" while testing nothing.  This test parses every
 ``RED_FAILPOINTS="..."`` spec in the ``Makefile`` with
-:func:`~repro.reliability.parse_failpoints` and requires each site to
-appear under ``src/repro`` either as a string literal passed to
-``failpoints.inject`` / ``corrupted`` / ``check`` or as a ``*_SITE``
-constant.
+:func:`~repro.reliability.parse_failpoints`, and every row of the
+catalogue table in ``src/repro/reliability/README.md``, and requires
+each site to appear under ``src/repro`` either as a string literal
+passed to ``failpoints.inject`` / ``corrupted`` / ``check`` or as a
+``*_SITE`` constant.
 """
 
 import ast
@@ -60,6 +62,15 @@ def declared_sites() -> set[str]:
     return sites
 
 
+def catalogue_sites() -> list[str]:
+    """Site names in the first column of the README's catalogue table."""
+    text = (ROOT / "src" / "repro" / "reliability" / "README.md").read_text(
+        encoding="utf-8"
+    )
+    table = text.split("## Failpoint catalogue", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `([^`]+)` \|", table, flags=re.MULTILINE)
+
+
 def test_makefile_arms_some_sites():
     assert len(makefile_sites()) >= 4
 
@@ -76,4 +87,16 @@ def test_every_armed_site_exists_in_source(site):
     assert site in declared_sites(), (
         f"the Makefile arms failpoint site {site!r}, but nothing under "
         "src/repro injects it; the fault matrix would test nothing"
+    )
+
+
+def test_catalogue_lists_some_sites():
+    assert len(catalogue_sites()) >= 4
+
+
+@pytest.mark.parametrize("site", catalogue_sites())
+def test_every_catalogued_site_exists_in_source(site):
+    assert site in declared_sites(), (
+        f"src/repro/reliability/README.md catalogues failpoint site {site!r}, "
+        "but nothing under src/repro injects it"
     )

@@ -1,8 +1,8 @@
-"""PackedSweepStore index recovery, degraded mode, and quarantine.
+"""PackedSweepStore segment recovery, degraded mode, and quarantine.
 
-Satellite coverage for the store half of the resilience plane:
-self-describing segments make ``index.bin`` disposable (missing,
-truncated or corrupt indexes rebuild by scanning segments), publish
+Satellite coverage for the store half of the resilience plane: the
+self-describing segments are the only on-disk state (a torn trailing
+record is dropped, a vanished segment reads as a miss), publish
 failures degrade to a counted read-only mode instead of corrupting
 state, and corrupt payloads move to ``quarantine/`` rather than being
 destroyed.
@@ -13,7 +13,7 @@ import pytest
 from repro.arch.tech import default_tech
 from repro.deconv.shapes import DeconvSpec
 from repro.eval.parallel import DesignJob, job_key
-from repro.eval.store import _INDEX_MAGIC, _ROW, PackedSweepStore
+from repro.eval.store import PackedSweepStore
 from repro.reliability import configured_failpoints
 from repro.reliability.policy import RetryPolicy, no_sleep
 
@@ -59,77 +59,30 @@ def reference_payloads(tmp_path, keys):
     return fresh.get_many(keys)
 
 
-class TestIndexRecovery:
-    def test_missing_index_rebuilds_from_segments(self, tmp_path):
+class TestSegmentRecovery:
+    def test_truncated_trailing_record_is_dropped(self, tmp_path):
         _, keys = populated(tmp_path)
-        expected = reference_payloads(tmp_path, keys)
-        (tmp_path / "index.bin").unlink()
-        with configured_failpoints(None):
-            recovered = PackedSweepStore(tmp_path, memory_entries=0)
-            assert recovered.get_many(keys) == expected
-        assert recovered.rebuilt_entries == len(keys)
-        assert recovered.stats()["rebuilt_entries"] == len(keys)
-
-    def test_magic_mismatch_rebuilds_from_segments(self, tmp_path):
-        _, keys = populated(tmp_path)
-        expected = reference_payloads(tmp_path, keys)
-        (tmp_path / "index.bin").write_bytes(b"NOTANIDX\ngarbage")
-        with configured_failpoints(None):
-            recovered = PackedSweepStore(tmp_path, memory_entries=0)
-            assert recovered.get_many(keys) == expected
-        assert recovered.rebuilt_entries == len(keys)
-
-    def test_corrupt_manifest_rebuilds_from_segments(self, tmp_path):
-        _, keys = populated(tmp_path)
-        expected = reference_payloads(tmp_path, keys)
-        (tmp_path / "index.bin").write_bytes(_INDEX_MAGIC + b"{not json\n")
-        with configured_failpoints(None):
-            recovered = PackedSweepStore(tmp_path, memory_entries=0)
-            assert recovered.get_many(keys) == expected
-
-    def test_truncated_rows_serve_complete_entries(self, tmp_path):
-        _, keys = populated(tmp_path)
-        index = tmp_path / "index.bin"
-        data = index.read_bytes()
-        # Chop half a row off the end: every complete row still serves.
-        index.write_bytes(data[: len(data) - _ROW.size // 2])
+        (segment,) = tmp_path.glob("seg-*.seg")
+        data = segment.read_bytes()
+        # Chop half a payload off the end: every complete record still
+        # serves, and the torn one is neither served nor decoded.
+        segment.write_bytes(data[:-20])
         with configured_failpoints(None):
             recovered = PackedSweepStore(tmp_path, memory_entries=0)
             values = recovered.get_many(keys)
         assert sum(value is not None for value in values) == len(keys) - 1
-        # No rebuild happened — truncation is tolerated row-wise.
-        assert recovered.rebuilt_entries == 0
+        assert recovered.corrupt == 0
+        assert len(recovered) == len(keys) - 1
 
-    def test_rebuild_persists_at_next_publish(self, tmp_path):
-        store, keys = populated(tmp_path)
-        expected = reference_payloads(tmp_path, keys)
-        (tmp_path / "index.bin").unlink()
-        with configured_failpoints(None):
-            recovered = PackedSweepStore(tmp_path, memory_entries=0)
-            assert recovered.get_many(keys) == expected
-            # The rebuilt index lives in memory until the next publish
-            # rewrites index.bin; publish one fresh entry and reopen.
-            extra_job = DesignJob(
-                "RED",
-                DeconvSpec(3, 3, 2, 6, 6, 3, stride=3, padding=2,
-                           output_padding=1),
-                TECH,
-            )
-            recovered.put_many([(job_key(extra_job), expected[0])])
-            reopened = PackedSweepStore(tmp_path, memory_entries=0)
-            assert reopened.get_many(keys) == expected
-        assert (tmp_path / "index.bin").exists()
-        assert reopened.rebuilt_entries == 0
-
-    def test_segment_skew_reads_as_miss(self, tmp_path):
+    def test_vanished_segment_reads_as_miss(self, tmp_path):
         # The index references a segment that has since vanished: the
         # lookup is a plain miss (the bytes might be fine elsewhere),
-        # never a crash and never a corrupt-scrub.
+        # never a crash and never a corrupt discard.
         _, keys = populated(tmp_path)
-        for segment in tmp_path.glob("seg-*.seg"):
-            segment.unlink()
         with configured_failpoints(None):
             skewed = PackedSweepStore(tmp_path, memory_entries=0)
+            for segment in tmp_path.glob("seg-*.seg"):
+                segment.unlink()
             values = skewed.get_many(keys)
         assert values == [None] * len(keys)
         assert skewed.corrupt == 0
@@ -249,20 +202,20 @@ class TestOpenProbe:
     def test_fresh_directory_opens_writable(self, tmp_path):
         store = PackedSweepStore(tmp_path / "new")
         assert not store.degraded
-        assert store.rebuilt_entries == 0
+        assert len(store) == 0
 
-    def test_unknown_schema_reads_empty_without_rebuild(self, tmp_path):
-        # A schema bump is deliberate invalidation: the index reports
-        # empty and the segments are NOT resurrected.
-        _, keys = populated(tmp_path)
-        index = tmp_path / "index.bin"
-        data = index.read_bytes()
-        index.write_bytes(data.replace(b'"schema":', b'"schema":9', 1))
+    def test_schema_bump_misses_old_entries(self, tmp_path, monkeypatch):
+        # Every key embeds the cache schema version, so a bump is
+        # deliberate invalidation: old records stay on disk, unreached.
+        import repro.eval.parallel as parallel
+
+        populated(tmp_path)
+        monkeypatch.setattr(parallel, "CACHE_SCHEMA_VERSION", 5)
+        keys = [job_key(job) for job in JOBS]
         with configured_failpoints(None):
             store = PackedSweepStore(tmp_path, memory_entries=0)
             assert store.get_many(keys) == [None] * len(keys)
-        assert store.rebuilt_entries == 0
-        assert len(store) == 0
+        assert len(store) == len(JOBS) and store.corrupt == 0
 
 
 def test_quarantine_files_do_not_break_reopen(tmp_path):
@@ -272,6 +225,6 @@ def test_quarantine_files_do_not_break_reopen(tmp_path):
     with configured_failpoints(None):
         reopened = PackedSweepStore(tmp_path, memory_entries=0)
         values = reopened.get_many(keys)
-    # The scrub was process-local (no publish happened), so the entries
-    # are still on disk and read back clean in a fresh store.
+    # No publish happened, so no tombstone was written: the entries are
+    # still live on disk and read back clean in a fresh store.
     assert all(value is not None for value in values)

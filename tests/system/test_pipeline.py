@@ -84,6 +84,6 @@ class TestPipelineNetworkSweep:
         )
         assert list(cold) == ["RED"]
         assert cold["RED"].stage_latencies == warm["RED"].stage_latencies
-        # The path constructed the packed store (segments + index).
-        assert (tmp_path / "index.bin").exists()
-        assert len(list(tmp_path.glob("*.seg"))) > 0
+        # The path constructed the packed store: segments only.
+        assert len(list(tmp_path.glob("seg-*.seg"))) > 0
+        assert not list(tmp_path.glob("index.bin"))
