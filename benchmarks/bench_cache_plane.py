@@ -14,9 +14,14 @@ stride-sweep grid (``bench_sweep_vectorized.build_grid``):
    (``memory_entries=0``) to report the disk tier on its own: the
    store's in-memory index over its segment files, one open per
    touched segment per probe.
+3. **Cold + publish** (`run_design_jobs` against a fresh
+   :class:`~repro.eval.store.PackedSweepStore` each time): the probe
+   misses, the cold plane evaluates, and one ``put_many`` encodes and
+   writes the batch — the store's write cost on top of route 1.
+   Report-only: it has no floor.
 
 Gate: packed warm must be **>= 3x** the cold vectorized jobs/s, with
-cold/warm/disk results *byte-identical* (per-element pickle bytes).  Measurements
+cold/warm/disk/publish results *byte-identical* (per-element pickle bytes).  Measurements
 land in ``BENCH_cache.json`` (path override: ``RED_BENCH_CACHE_JSON``),
 uploaded as a CI artifact.  ``RED_BENCH_QUICK=1`` selects the smoke
 configuration (smaller grid, lower floors).
@@ -77,6 +82,14 @@ def test_cache_plane_speedup(tmp_path):
     assert disk_store.misses == 0
     t_disk = _median_time(lambda: run_design_jobs(jobs, cache=disk_store))
 
+    # --- route 3: cold evaluation + one put_many into a fresh store ----
+    fresh_dirs = (tmp_path / f"publish-{index}" for index in range(REPEATS + 1))
+    publish = lambda: run_design_jobs(  # noqa: E731
+        jobs, cache=PackedSweepStore(next(fresh_dirs))
+    )
+    publish_results = publish()
+    t_publish = _median_time(publish)
+
     # Correctness gate: every route serves byte-identical metrics.
     digest_cold = _digest(cold_results)
     assert digest_cold == _digest(warm_results), (
@@ -84,6 +97,9 @@ def test_cache_plane_speedup(tmp_path):
     )
     assert digest_cold == _digest(disk_results), (
         "packed disk tier diverged from the cold vectorized results"
+    )
+    assert digest_cold == _digest(publish_results), (
+        "the publishing cold route diverged from the cold vectorized results"
     )
 
     speedup_cold = t_cold / t_warm
@@ -93,6 +109,12 @@ def test_cache_plane_speedup(tmp_path):
             f"{t_cold * 1e3:.1f}",
             f"{len(jobs) / t_cold:.0f}",
             "1.00x",
+        ),
+        (
+            "cold + publish (fresh store, report-only)",
+            f"{t_publish * 1e3:.1f}",
+            f"{len(jobs) / t_publish:.0f}",
+            f"{t_cold / t_publish:.2f}x",
         ),
         (
             "packed warm, disk tier (segments)",
@@ -126,10 +148,12 @@ def test_cache_plane_speedup(tmp_path):
         "cold_vectorized_s": t_cold,
         "packed_warm_memory_s": t_warm,
         "packed_warm_disk_s": t_disk,
+        "cold_publish_s": t_publish,
         "jobs_per_s": {
             "cold_vectorized": len(jobs) / t_cold,
             "packed_warm_memory": len(jobs) / t_warm,
             "packed_warm_disk": len(jobs) / t_disk,
+            "cold_publish": len(jobs) / t_publish,
         },
         "speedup_vs_cold": speedup_cold,
         "byte_identical": True,

@@ -9,8 +9,8 @@ the stride-sweep grid the cache and sweep planes use
 (``bench_sweep_vectorized.build_grid``), measured on the route where
 the hooks actually fire per entry: warm **disk-tier** reads
 (``memory_entries=0``), where ``corrupted()`` runs once per key ahead
-of every ``pickle.loads`` (memory-tier hits bypass the hook by
-construction, so timing them would gate nothing).
+of every record's CRC check and decode (memory-tier hits bypass the
+hook by construction, so timing them would gate nothing).
 
 1. **Hooks bypassed** (``failpoints.hooks_bypassed()``): the hook
    call-sites rebound to no-ops — the closest measurable stand-in for
@@ -86,7 +86,7 @@ def test_disarmed_hooks_within_overhead_budget(tmp_path):
     with configured_failpoints(None):
         populate = PackedSweepStore(tmp_path / "grid")
         baseline_results = run_design_jobs(jobs, cache=populate)
-        # Disk tier only: every read re-enters corrupted() + unpickle,
+        # Disk tier only: every read re-enters corrupted() + decode,
         # which is exactly the per-entry surface the hooks add to.
         disk = PackedSweepStore(tmp_path / "grid", memory_entries=0)
 

@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -158,12 +157,15 @@ def _canonical_fold(job: DesignJob) -> int | str | None:
 
 @dataclass(frozen=True)
 class CycleStats:
-    """Cycle-level measurement of one job, as persisted in the cache.
+    """Cycle-level measurement of one job, as the store persists it.
 
     The counters come from the :class:`~repro.sim.engine.CycleEngine`
     run the :class:`~repro.sim.batch.BatchEngine` performs; the output
     tensor itself is deliberately not stored (it is operand-dependent
-    and large — the cache holds the schedule-level observables).
+    and large — the cache holds the schedule-level observables).  The
+    store's record codec (:mod:`repro.eval.store`) is compiled from
+    these fields, so each must hold exactly its annotated type: plain
+    ``str``, ``int`` within int64, and a tuple of ``(str, int)`` tuples.
 
     Attributes:
         design: canonical design name.
@@ -187,7 +189,7 @@ class CycleStats:
 
 @dataclass(frozen=True)
 class FidelityStats:
-    """One Monte-Carlo device-fidelity sample, as persisted in the cache.
+    """One Monte-Carlo device-fidelity sample, as the store persists it.
 
     Produced by the batched sampler (:mod:`repro.reram.batch`): the
     arithmetic error of one design's representative crossbar read under
@@ -206,6 +208,11 @@ class FidelityStats:
         mean_abs_error: relative mean absolute readout error.
         max_abs_error: relative worst-column readout error.
         stuck_fraction: fraction of cells the fault pattern pinned.
+
+    The store's record codec (:mod:`repro.eval.store`) is compiled from
+    these fields, so each must hold exactly its annotated type: plain
+    ``str``, ``int`` within int64 and ``float`` (an ``int`` or ``bool``
+    in a ``float`` field is rejected, not coerced).
     """
 
     design: str
@@ -461,23 +468,6 @@ _KIND_PAYLOADS: dict[str, type] = {
     CYCLES_KIND: CycleStats,
     FIDELITY_KIND: FidelityStats,
 }
-
-#: What ``pickle.loads`` of a truncated/corrupt/shape-skewed entry can
-#: raise.  Deliberately narrower than ``Exception`` so programming
-#: errors (NameError, ParameterError, ...) surface instead of being
-#: silently counted as cache misses.
-_DECODE_ERRORS = (
-    pickle.UnpicklingError,
-    EOFError,
-    AttributeError,
-    ImportError,
-    IndexError,
-    KeyError,
-    ValueError,
-    TypeError,
-    UnicodeDecodeError,
-    MemoryError,
-)
 
 
 def relabelled(value, layer_name: str):

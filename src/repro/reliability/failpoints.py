@@ -38,8 +38,11 @@ Modes
     :class:`~repro.errors.WorkerCrashError` so tests never kill pytest.
 ``corrupt``
     :func:`corrupted` returns a deterministically bit-flipped copy of
-    the payload (decode fails downstream and the store's quarantine
-    path runs); :func:`inject` ignores corrupt-mode sites.
+    the payload (first and last byte inverted).  At ``store.get_many``
+    the payload is a record's CRC and encoded value, so the record's
+    CRC-32 no longer matches and the store's quarantine path runs:
+    the flip is a counted miss, never a silently wrong number.
+    :func:`inject` ignores corrupt-mode sites.
 
 Hot-path cost
 -------------

@@ -325,6 +325,30 @@ class TestStoreDisciplineRule:
         )
         assert report.findings == []
 
+    def test_object_codec_imports_flagged(self, tmp_path):
+        report = run_on(
+            tmp_path,
+            {
+                "src/repro/eval/segments.py": """\
+                import json
+                import pickle
+                import marshal as m
+                from shelve import open as shelf
+                from pickle import loads
+                import _pickle
+                """
+            },
+        )
+        assert [f.rule for f in report.findings] == ["RED004"] * 5
+        assert all("external input" in f.message for f in report.findings)
+
+    def test_object_codec_imports_outside_eval_out_of_scope(self, tmp_path):
+        report = run_on(
+            tmp_path,
+            {"src/repro/serving/shard.py": "import pickle\n"},
+        )
+        assert report.findings == []
+
     def test_suppression_marker(self, tmp_path):
         report = run_on(
             tmp_path,

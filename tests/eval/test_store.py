@@ -16,8 +16,10 @@ Covers the ISSUE-5 contracts:
 import json
 import os
 import pickle
+import struct
 import subprocess
 import sys
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -26,6 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
+import repro.eval.store as store_module
 from repro.arch.tech import default_tech
 from repro.deconv.shapes import DeconvSpec
 from repro.errors import CacheError, ParameterError
@@ -44,7 +47,7 @@ from repro.eval.parallel import (
     run_cycle_jobs,
     run_design_jobs,
 )
-from repro.eval.store import _RECORD, PackedSweepStore
+from repro.eval.store import _HEADER, _RECORD, PackedSweepStore
 
 SPEC = DeconvSpec(4, 4, 3, 4, 4, 2, stride=2, padding=1)
 TECH = default_tech()
@@ -74,12 +77,12 @@ def synthetic_key(token: int) -> str:
 
 def flip_payloads(directory) -> None:
     """Invert every payload byte of every segment record, leaving the
-    record headers (keys and lengths) intact."""
+    segment header and the record headers (keys, lengths, CRCs) intact."""
     for segment in directory.glob("seg-*.seg"):
         data = bytearray(segment.read_bytes())
-        offset = 0
+        offset = _HEADER.size
         while offset < len(data):
-            _, length = _RECORD.unpack_from(data, offset)
+            _, length, _ = _RECORD.unpack_from(data, offset)
             offset += _RECORD.size
             data[offset : offset + length] = bytes(
                 byte ^ 0xFF for byte in data[offset : offset + length]
@@ -460,32 +463,109 @@ class TestForeignFiles:
         assert len(store) == 0 and key not in store
         assert len(list(tmp_path.glob("*.pkl"))) == 2
 
-    def test_sharded_layout_with_index_file_serves_every_entry(self, tmp_path):
-        """A directory in the older layout (per-shard ``seg-<shard>-*``
-        segments beside an ``index.bin`` and a ``.lock``) serves every
-        record byte-identically; the index and lock files are foreign
-        and stay untouched, even across a publish."""
+    def test_old_layout_directory_serves_misses_and_stays_untouched(self, tmp_path):
+        """A directory in an older layout (per-shard ``seg-<shard>-*``
+        segments of headerless pickle records beside an ``index.bin``
+        and a ``.lock``) is foreign: every key is a plain miss, nothing
+        is decoded, and every file stays byte-untouched, even across a
+        publish."""
         entries = [(synthetic_key(i), stats_payload(i)) for i in range(6)]
         for start, shard in enumerate((0x00, 0x0A)):
-            blob = bytearray()
-            for key, value in entries[start::2]:
-                payload = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
-                blob += _RECORD.pack(bytes.fromhex(key), len(payload)) + payload
-            (tmp_path / f"seg-{shard:02x}-legacy.seg").write_bytes(bytes(blob))
+            blob = b"".join(
+                legacy_record(key, pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
+                for key, value in entries[start::2]
+            )
+            (tmp_path / f"seg-{shard:02x}-legacy.seg").write_bytes(blob)
         (tmp_path / "index.bin").write_bytes(b"REDPACK1\n{garbage")
         (tmp_path / ".lock").write_bytes(b"")
         foreign = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
 
         store = PackedSweepStore(tmp_path, memory_entries=0)
+        assert len(store) == 0
         values = store.get_many([key for key, _ in entries], kind=CYCLES_KIND)
-        assert [pickle.dumps(v, pickle.HIGHEST_PROTOCOL) for v in values] == [
-            pickle.dumps(v, pickle.HIGHEST_PROTOCOL) for _, v in entries
-        ]
-        assert store.disk_hits == len(entries)
+        assert values == [None] * len(entries)
+        assert (store.misses, store.disk_hits) == (len(entries), 0)
+        assert (store.corrupt, store.quarantined) == (0, 0)
         store.put_many([(synthetic_key(99), stats_payload(99))], kind=CYCLES_KIND)
         assert {
             name: (tmp_path / name).read_bytes() for name in foreign
         } == foreign
+
+
+# ----------------------------------------------------------------------
+# Hostile store files: a segment's bytes never run code
+# ----------------------------------------------------------------------
+class _TouchOnLoad:
+    """Unpickling this object's pickle opens (creates) ``path``."""
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (str(self.path), "w"))
+
+
+def legacy_record(key: str, payload: bytes) -> bytes:
+    """One record in the pre-codec layout: raw key, u32 length, payload."""
+    return struct.pack("<32sI", bytes.fromhex(key), len(payload)) + payload
+
+
+def current_segment(kind: str, key: str, payload: bytes) -> bytes:
+    """A segment in the current layout with one record whose CRC matches."""
+    raw = bytes.fromhex(key)
+    header = _HEADER.pack(
+        store_module._MAGIC, store_module._FORMAT_VERSION, kind.encode(),
+        store_module._CODECS[kind].fingerprint,
+    )
+    crc = zlib.crc32(payload, zlib.crc32(raw))
+    return header + _RECORD.pack(raw, len(payload), crc) + payload
+
+
+class TestHostileFiles:
+    def hostile_payload(self, tmp_path, name: str) -> bytes:
+        """A pickle whose load creates ``tmp_path/name`` (checked here on
+        a second marker, so the payload provably runs code when
+        unpickled)."""
+        probe = tmp_path / f"{name}-probe"
+        pickle.loads(pickle.dumps(_TouchOnLoad(probe))).close()
+        assert probe.exists()
+        return pickle.dumps(_TouchOnLoad(tmp_path / name))
+
+    @pytest.mark.parametrize("kind", [METRICS_KIND, CYCLES_KIND, FIDELITY_KIND])
+    def test_current_format_pickle_payload_is_quarantined_not_run(
+        self, tmp_path, kind
+    ):
+        directory = tmp_path / "store"
+        directory.mkdir()
+        key = synthetic_key(1)
+        payload = self.hostile_payload(tmp_path, "marker")
+        (directory / "seg-00000000-hostile.seg").write_bytes(
+            current_segment(kind, key, payload)
+        )
+        store = PackedSweepStore(directory, memory_entries=0)
+        assert key in store  # indexed: the header and CRC are valid
+        assert store.get_many([key], kind=kind) == [None]
+        assert (store.corrupt, store.quarantined, store.misses) == (1, 1, 1)
+        assert (directory / "quarantine" / f"{key}.bin").exists()
+        assert not (tmp_path / "marker").exists()
+
+    def test_headerless_pickle_segment_is_skipped_and_kept(self, tmp_path):
+        directory = tmp_path / "store"
+        directory.mkdir()
+        key = synthetic_key(2)
+        segment = directory / "seg-00000000-legacy.seg"
+        segment.write_bytes(
+            legacy_record(key, self.hostile_payload(tmp_path, "marker"))
+        )
+        original = segment.read_bytes()
+        store = PackedSweepStore(directory, memory_entries=0)
+        assert len(store) == 0 and key not in store
+        assert store.get_many([key], kind=CYCLES_KIND) == [None]
+        assert (store.corrupt, store.quarantined, store.misses) == (0, 0, 1)
+        store.put_many([(synthetic_key(3), stats_payload(3))], kind=CYCLES_KIND)
+        assert segment.read_bytes() == original
+        assert not (directory / "quarantine").exists()
+        assert not (tmp_path / "marker").exists()
 
 
 # ----------------------------------------------------------------------
