@@ -18,7 +18,8 @@ stride-sweep grid (``bench_sweep_vectorized.build_grid``):
    :class:`~repro.eval.store.PackedSweepStore` each time): the probe
    misses, the cold plane evaluates, and one ``put_many`` encodes and
    writes the batch — the store's write cost on top of route 1.
-   Report-only: it has no floor.
+   Report-only: it has no floor.  One published store is read back
+   from disk alone for the identity gate.
 
 Gate: packed warm must be **>= 3x** the cold vectorized jobs/s, with
 cold/warm/disk/publish results *byte-identical* (per-element pickle bytes).  Measurements
@@ -87,8 +88,13 @@ def test_cache_plane_speedup(tmp_path):
     publish = lambda: run_design_jobs(  # noqa: E731
         jobs, cache=PackedSweepStore(next(fresh_dirs))
     )
-    publish_results = publish()
+    publish()
     t_publish = _median_time(publish)
+    # Read the first published store back from disk alone, so the
+    # identity gate below checks decoded records, not the cold values.
+    readback_store = PackedSweepStore(tmp_path / "publish-0", memory_entries=0)
+    publish_results = run_design_jobs(jobs, cache=readback_store)
+    assert readback_store.misses == 0
 
     # Correctness gate: every route serves byte-identical metrics.
     digest_cold = _digest(cold_results)
@@ -99,7 +105,7 @@ def test_cache_plane_speedup(tmp_path):
         "packed disk tier diverged from the cold vectorized results"
     )
     assert digest_cold == _digest(publish_results), (
-        "the publishing cold route diverged from the cold vectorized results"
+        "records published by the cold route read back differently"
     )
 
     speedup_cold = t_cold / t_warm

@@ -1,8 +1,10 @@
 """The analytical evaluator: DesignPerfInput -> latency/energy/area.
 
 Implements Eq. 3 and Eq. 4 of the paper over the Table II component set.
-All totals are per benchmark layer (one full deconvolution).  See
-DESIGN.md §3 for the modelling assumptions and the calibration notes.
+All totals are per benchmark layer (one full deconvolution), each a
+Python ``float`` even where integer tech overrides make a product
+integral.  See DESIGN.md §3 for the modelling assumptions and the
+calibration notes.
 """
 
 from __future__ import annotations
@@ -47,12 +49,12 @@ def latency_breakdown(
     sa_cycle = bits * (tech.num_slices + perf.sa_extra_ops_per_value) * tech.t_sa
 
     return LatencyBreakdown(
-        wordline=cycles * bits * wd_cycle,
-        bitline=cycles * bits * bd_cycle,
-        decoder=cycles * dec_cycle,
-        mux=cycles * tech.t_mux,
-        read_circuit=cycles * rc_cycle,
-        shift_adder=cycles * sa_cycle,
+        wordline=float(cycles * bits * wd_cycle),
+        bitline=float(cycles * bits * bd_cycle),
+        decoder=float(cycles * dec_cycle),
+        mux=float(cycles * tech.t_mux),
+        read_circuit=float(cycles * rc_cycle),
+        shift_adder=float(cycles * sa_cycle),
     )
 
 
@@ -99,15 +101,15 @@ def energy_breakdown(
     e_crop = perf.crop_values_total * tech.e_crop
 
     return EnergyBreakdown(
-        computation=tech.e_mac * perf.useful_macs,
-        wordline=e_wd,
-        bitline=e_bd,
-        decoder=e_dec,
-        mux=e_mux,
-        read_circuit=e_rc,
-        shift_adder=e_sa,
-        extra_adder=e_overlap,
-        crop=e_crop,
+        computation=float(tech.e_mac * perf.useful_macs),
+        wordline=float(e_wd),
+        bitline=float(e_bd),
+        decoder=float(e_dec),
+        mux=float(e_mux),
+        read_circuit=float(e_rc),
+        shift_adder=float(e_sa),
+        extra_adder=float(e_overlap),
+        crop=float(e_crop),
     )
 
 
@@ -149,13 +151,13 @@ def area_breakdown(
     a_crop = tech.a_crop_unit if perf.has_crop_unit else 0.0
 
     return AreaBreakdown(
-        computation=a_array,
-        decoder=a_row,
-        mux=a_mux,
-        read_circuit=a_rc,
-        shift_adder=a_sa,
-        extra_adder=a_overlap,
-        crop=a_crop,
+        computation=float(a_array),
+        decoder=float(a_row),
+        mux=float(a_mux),
+        read_circuit=float(a_rc),
+        shift_adder=float(a_sa),
+        extra_adder=float(a_overlap),
+        crop=float(a_crop),
     )
 
 

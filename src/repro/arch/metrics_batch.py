@@ -303,6 +303,11 @@ def area_breakdown_batch(
     }
 
 
+def _float_column(values: np.ndarray) -> list[float]:
+    """A breakdown component as Python floats (no copy when already float64)."""
+    return np.asarray(values, dtype=np.float64).tolist()
+
+
 def evaluate_perf_batch(
     batch: PerfInputBatch, tech: TechnologyParams | None = None
 ) -> list[DesignMetrics]:
@@ -314,7 +319,10 @@ def evaluate_perf_batch(
     frozen-dataclass ``__init__`` (``object.__new__`` plus a direct
     ``__dict__`` swap): the arrays are already validated and the
     per-field ``object.__setattr__`` walk would dominate the whole
-    vectorized plane's runtime on a 10k-job grid.
+    vectorized plane's runtime on a 10k-job grid.  Every breakdown
+    field is a Python ``float`` even when integer tech overrides make a
+    component's array integral, as the annotations (and the store's
+    record codec) require.
     """
     tech = tech or default_tech()
     latency = latency_breakdown_batch(batch, tech)
@@ -322,17 +330,17 @@ def evaluate_perf_batch(
     area = area_breakdown_batch(batch, tech)
 
     lat_wl, lat_bl, lat_dec, lat_mux, lat_rc, lat_sa = (
-        latency[name].tolist()
+        _float_column(latency[name])
         for name in ("wordline", "bitline", "decoder", "mux", "read_circuit",
                      "shift_adder")
     )
     (en_c, en_wl, en_bl, en_dec, en_mux, en_rc, en_sa, en_ea, en_cr) = (
-        energy[name].tolist()
+        _float_column(energy[name])
         for name in ("computation", "wordline", "bitline", "decoder", "mux",
                      "read_circuit", "shift_adder", "extra_adder", "crop")
     )
     (ar_c, ar_dec, ar_mux, ar_rc, ar_sa, ar_ea, ar_cr) = (
-        area[name].tolist()
+        _float_column(area[name])
         for name in ("computation", "decoder", "mux", "read_circuit",
                      "shift_adder", "extra_adder", "crop")
     )

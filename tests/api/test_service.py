@@ -70,6 +70,32 @@ class TestEvaluate:
             > plain.metrics_for("RED").latency.total
         )
 
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            EvaluationRequest(
+                spec=SPEC, trace=True, layer_name="L",
+                tech_overrides={"t_adc": 1, "e_mac": 1, "t_mux": True, "e_crop": 2},
+            ),
+            FidelityRequest(
+                layer="GAN_Deconv3", designs=("RED",), seeds=(1,), times=(10,),
+                nu=0, programming_sigma=0, read_noise_sigma=0, stuck_at_rate=0,
+                tech_overrides={"t_adc": 1},
+            ),
+        ],
+        ids=("evaluation", "fidelity"),
+    )
+    def test_integer_tech_overrides_are_stored_and_served(self, tmp_path, request_):
+        """Integer overrides in float tech fields publish, then hit on disk."""
+        cold = RedService(cache=tmp_path).submit(request_).result()
+        store = PackedSweepStore(tmp_path, memory_entries=0)
+        warm = RedService(cache=store).submit(request_).result()
+        assert warm == cold
+        assert warm.to_dict() == cold.to_dict()
+        assert store.disk_hits > 0
+        assert store.misses == 0
+        assert store.corrupt == 0
+
     def test_unknown_layer_is_a_schema_error(self, service):
         with pytest.raises(SchemaError):
             service.evaluate(EvaluationRequest(layer="GAN_Deconv99"))

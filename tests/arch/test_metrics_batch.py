@@ -112,8 +112,11 @@ class TestBitIdentity:
             default_tech(),
             default_tech().with_overrides(mux_share=4, bits_input=4),
             default_tech().with_overrides(differential=False, bits_per_cell=4),
+            # Integer overrides make some products integral; both paths
+            # must still hand out float components.
+            default_tech().with_overrides(t_adc=1, e_mac=1, t_mux=True, e_crop=2),
         ],
-        ids=("default", "narrow", "single-ended"),
+        ids=("default", "narrow", "single-ended", "integer-overrides"),
     )
     def test_evaluate_perf_batch_matches_scalar(self, tech):
         perfs = perf_zoo(tech)
@@ -123,6 +126,8 @@ class TestBitIdentity:
             expected = evaluate_design(perf, tech)
             assert pickle.dumps(got, 5) == pickle.dumps(expected, 5)
             assert got == expected
+            for breakdown in (got.latency, got.energy, got.area):
+                assert {type(v) for v in breakdown.as_dict().values()} == {float}
 
     def test_breakdown_components_match_scalar(self):
         from repro.arch.metrics import (
